@@ -88,7 +88,7 @@ fn bench_incremental() {
         || {
             let mut inst = scheduling_instance(2, &spec);
             let mut inc = IncrementalCostScaling::default();
-            inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+            inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
             let arcs: Vec<_> = inst.graph.arc_ids().collect();
             for k in 0..20 {
@@ -98,7 +98,10 @@ fn bench_incremental() {
             }
             (inst.graph, inc)
         },
-        |(mut g, mut inc)| inc.solve(&mut g, &SolveOptions::unlimited()).unwrap(),
+        |(mut g, mut inc)| {
+            inc.solve_with_deltas(&mut g, None, &SolveOptions::unlimited())
+                .unwrap()
+        },
     );
 }
 

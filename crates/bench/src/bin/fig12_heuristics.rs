@@ -60,7 +60,7 @@ fn main() {
     // (b) Task-removal-heavy incremental round.
     let mut inc = IncrementalCostScaling::default();
     let mut base_graph = graph.clone();
-    inc.solve(&mut base_graph, &SolveOptions::unlimited())
+    inc.solve_with_deltas(&mut base_graph, None, &SolveOptions::unlimited())
         .expect("base solve");
     // Complete 20% of running tasks — with and without the drain heuristic.
     let victims: Vec<u64> = state
@@ -92,7 +92,7 @@ fn main() {
                 }
             }
         }
-        inc.solve(&mut g, &SolveOptions::unlimited())
+        inc.solve_with_deltas(&mut g, None, &SolveOptions::unlimited())
             .expect("incremental")
             .runtime
             .as_secs_f64()

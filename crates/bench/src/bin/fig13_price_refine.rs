@@ -41,7 +41,7 @@ fn main() {
         inc.adopt_solution(&solved);
         let mut g = changed.clone();
         let a = inc
-            .solve(&mut g, &SolveOptions::unlimited())
+            .solve_with_deltas(&mut g, None, &SolveOptions::unlimited())
             .expect("with pr")
             .runtime
             .as_secs_f64();
@@ -53,7 +53,7 @@ fn main() {
         inc.adopt_solution(&solved);
         let mut g = changed.clone();
         let b = inc
-            .solve(&mut g, &SolveOptions::unlimited())
+            .solve_with_deltas(&mut g, None, &SolveOptions::unlimited())
             .expect("without pr")
             .runtime
             .as_secs_f64();

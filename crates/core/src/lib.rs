@@ -26,8 +26,8 @@
 //!
 //! The manager's graph records its own change log; `schedule` drains it
 //! as a compacted [`firmament_flow::delta::DeltaBatch`] each round and
-//! the incremental solver warm-starts from the deltas natively instead of
-//! diffing the graph (per-round telemetry on
+//! the incremental solver warm-starts from the deltas natively (per-round
+//! telemetry on
 //! [`RoundOutcome::solver`](scheduler::RoundOutcome::solver)).
 
 #![forbid(unsafe_code)]

@@ -96,21 +96,6 @@ pub enum GraphChange {
     },
 }
 
-impl GraphChange {
-    /// Returns the magnitude of the cost perturbation this change introduces,
-    /// used by incremental cost scaling to choose its starting ε (§6.2:
-    /// "cost scaling must start only at a value of ε equal to the costliest
-    /// arc graph change").
-    pub fn cost_perturbation(&self) -> i64 {
-        match self {
-            GraphChange::CostChange { old, new, .. } => (new - old).abs(),
-            GraphChange::AddArc { cost, .. } => cost.abs(),
-            GraphChange::RemoveArc { cost, flow, .. } if *flow > 0 => cost.abs(),
-            _ => 0,
-        }
-    }
-}
-
 /// The kind of single-arc change analysed by Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArcChangeKind {
@@ -383,29 +368,5 @@ mod tests {
                 "kind={kind:?} rc_sign={rc_sign} analysis={a:?} effect={effect:?}"
             );
         }
-    }
-
-    #[test]
-    fn cost_perturbation_magnitudes() {
-        let c = GraphChange::CostChange {
-            arc: ArcId::from_index(0),
-            old: 5,
-            new: 12,
-        };
-        assert_eq!(c.cost_perturbation(), 7);
-        let a = GraphChange::AddArc {
-            arc: ArcId::from_index(0),
-            src: NodeId::from_index(0),
-            dst: NodeId::from_index(1),
-            capacity: 1,
-            cost: -9,
-        };
-        assert_eq!(a.cost_perturbation(), 9);
-        let s = GraphChange::SupplyChange {
-            node: NodeId::from_index(0),
-            old: 0,
-            new: 5,
-        };
-        assert_eq!(s.cost_perturbation(), 0);
     }
 }

@@ -142,7 +142,8 @@ pub enum GraphDelta {
     /// Flow was moved at this surviving node outside a solver run (a
     /// recorded [`GraphChange::FlowDisturbed`] marker, e.g. the terminus
     /// of a §5.3.2 drain), so its excess must be re-derived even though no
-    /// structural delta names it. No replayable effect.
+    /// structural delta names it. [`DeltaBatch::all_dirty`] names every
+    /// live node this way. No replayable effect.
     FlowTouched {
         /// The node whose conservation may have been broken.
         node: NodeId,
@@ -231,6 +232,20 @@ impl DeltaBatch {
     /// An empty batch (what a quiescent round hands the solver).
     pub fn empty() -> Self {
         DeltaBatch::default()
+    }
+
+    /// A batch marking every live node of `graph` as
+    /// [`GraphDelta::FlowTouched`]: the feed for a graph whose changes were
+    /// not recorded, so a warm solver treats the whole graph as dirty. It
+    /// carries no supply deltas, so it cannot vouch for supply balance.
+    pub fn all_dirty(graph: &FlowGraph) -> Self {
+        DeltaBatch {
+            deltas: graph
+                .node_ids()
+                .map(|node| GraphDelta::FlowTouched { node })
+                .collect(),
+            raw_len: 0,
+        }
     }
 
     /// Compacts a raw change stream into a typed delta batch.
@@ -835,6 +850,31 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// The untracked-graph feed names every live node, and only live
+    /// nodes, as flow-touched — and replays as a no-op.
+    #[test]
+    fn all_dirty_marks_every_live_node_and_replays_as_no_op() {
+        let mut g = FlowGraph::new();
+        let t = g.add_node(NodeKind::Task { task: 1 }, 1);
+        let gone = g.add_node(NodeKind::Other { tag: 2 }, 0);
+        let s = g.add_node(NodeKind::Sink, -1);
+        g.add_arc(t, s, 1, 3).unwrap();
+        g.remove_node(gone).unwrap();
+
+        let batch = DeltaBatch::all_dirty(&g);
+        assert_eq!(batch.raw_len(), 0);
+        assert_eq!(
+            batch.deltas(),
+            &[
+                GraphDelta::FlowTouched { node: t },
+                GraphDelta::FlowTouched { node: s },
+            ]
+        );
+        let mut replayed = g.clone();
+        batch.replay(&mut replayed).unwrap();
+        assert_same_structure(&replayed, &g);
     }
 
     /// A capacity clamp that spills flow followed by removal of the same

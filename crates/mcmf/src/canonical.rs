@@ -2,10 +2,10 @@
 //!
 //! Min-cost scheduling flows are almost always degenerate: equal-cost
 //! task ↔ machine assignments can be permuted freely, so equally-optimal
-//! solves that take different paths — warm vs cold, delta-fed vs
-//! diff-based, relaxation vs cost scaling — produce *different* optimal
-//! flows and hence different (equally good) placements. That is correct
-//! but unreproducible: CI can only assert objective equality, and
+//! solves that take different paths — warm vs cold, relaxation vs cost
+//! scaling — produce *different* optimal flows and hence different
+//! (equally good) placements. That is correct but unreproducible: CI
+//! can only assert objective equality, and
 //! replaying a cluster trace twice through different solver paths yields
 //! different placement logs.
 //!
@@ -225,13 +225,13 @@ mod tests {
             let spec = InstanceSpec::default();
             let mut warm_inst = scheduling_instance(seed, &spec);
             let mut inc = crate::incremental::IncrementalCostScaling::default();
-            inc.solve(&mut warm_inst.graph, &SolveOptions::unlimited())
+            inc.solve_with_deltas(&mut warm_inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
             // Perturb some costs, then warm-resolve.
             let arcs: Vec<ArcId> = warm_inst.graph.arc_ids().collect();
             warm_inst.graph.set_arc_cost(arcs[3], 7).unwrap();
             warm_inst.graph.set_arc_cost(arcs[13], 90).unwrap();
-            inc.solve(&mut warm_inst.graph, &SolveOptions::unlimited())
+            inc.solve_with_deltas(&mut warm_inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
             // Cold path on an identical graph.
             let mut cold = warm_inst.graph.clone();

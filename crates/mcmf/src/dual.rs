@@ -8,11 +8,14 @@
 //! single-threaded — and avoids a brittle choice heuristic that would
 //! depend on both scheduling policy and cluster utilization.
 //!
-//! After each round the loser is cancelled cooperatively; if relaxation
-//! won, its solution is handed to incremental cost scaling through price
-//! refine (§6.2) so the *next* incremental run can warm-start.
+//! There is no coordinator thread: incremental cost scaling runs on the
+//! caller's thread and relaxation on one spawned thread, and whichever
+//! racer returns a solution first cancels the other cooperatively. The
+//! caller then joins the relaxation thread. If relaxation won, its
+//! solution is handed to incremental cost scaling through price refine
+//! (§6.2) so the *next* incremental run can warm-start.
 
-use crate::common::{AlgorithmKind, CancelToken, Solution, SolveError, SolveOptions};
+use crate::common::{AlgorithmKind, CancelToken, Solution, SolveError, SolveOptions, SolveStats};
 use crate::incremental::{IncrementalConfig, IncrementalCostScaling};
 use crate::relaxation::{self, RelaxationConfig};
 use firmament_flow::delta::DeltaBatch;
@@ -67,7 +70,7 @@ pub struct DualOutcome {
     /// Statistics of the incremental cost-scaling run when it completed
     /// (even as the race loser) — the delta-fed warm-start telemetry
     /// (nodes touched, bailouts) surfaced on `RoundOutcome`.
-    pub cs_stats: Option<crate::common::SolveStats>,
+    pub cs_stats: Option<SolveStats>,
     /// `true` when a configured dual race was short-circuited because the
     /// round's delta batch was re-price-only and provably quiescent (no
     /// exposed reduced-cost violation): the warm cost-scaling path ran
@@ -79,12 +82,10 @@ pub struct DualOutcome {
 /// Firmament's MCMF solver: speculative execution of relaxation and
 /// incremental cost scaling.
 ///
-/// The solver owns the cost-scaling warm state across rounds. Borrowing
-/// callers use [`solve`](Self::solve), which leaves the input graph
-/// untouched (it can continue accumulating changes while the solver runs,
-/// as in Fig 2b); callers that adopt the output — like the scheduler core
-/// — use [`solve_owned`](Self::solve_owned), which moves the graph through
-/// the solve instead of copying it every round.
+/// The solver owns the cost-scaling warm state across rounds and has one
+/// entry point, [`solve_owned_with_deltas`](Self::solve_owned_with_deltas),
+/// which moves the graph through the solve (callers adopt the output graph
+/// instead of copying the input every round).
 #[derive(Debug)]
 pub struct DualSolver {
     config: DualConfig,
@@ -114,38 +115,17 @@ impl DualSolver {
 
     /// Solves the scheduling graph, returning the first-finishing solution.
     ///
+    /// `deltas` is the typed change feed recorded since the last handoff;
+    /// the incremental cost-scaling side warm-starts from it natively
+    /// (relaxation ignores it). `None` means the graph's changes went
+    /// unrecorded, so the warm start treats every live node as dirty.
     /// `opts` applies to both algorithms (time/iteration budgets are rarely
-    /// used here; cancellation is managed internally). The input graph is
-    /// left untouched; callers that immediately adopt the output graph
-    /// should prefer [`solve_owned`](Self::solve_owned), which avoids one
-    /// full graph copy per round.
-    pub fn solve(
-        &mut self,
-        graph: &FlowGraph,
-        opts: &SolveOptions,
-    ) -> Result<DualOutcome, SolveError> {
-        self.solve_owned(graph.clone(), opts).map_err(|(e, _)| e)
-    }
-
-    /// Like [`solve`](Self::solve), but takes ownership of the graph:
-    /// single-algorithm configurations solve fully in place (zero copies)
-    /// and the dual race clones once instead of twice. On failure the
-    /// graph is handed back (possibly with partial flow) so the caller can
-    /// restore its state.
+    /// used here; cancellation is managed internally).
+    ///
+    /// Single-algorithm configurations solve fully in place; the dual race
+    /// clones the graph once. On failure the graph is handed back (possibly
+    /// with partial flow) so the caller can restore its state.
     #[allow(clippy::result_large_err)] // the Err graph is the point: ownership returns on failure
-    pub fn solve_owned(
-        &mut self,
-        graph: FlowGraph,
-        opts: &SolveOptions,
-    ) -> Result<DualOutcome, (SolveError, FlowGraph)> {
-        self.solve_owned_with_deltas(graph, None, opts)
-    }
-
-    /// Like [`solve_owned`](Self::solve_owned), but hands the incremental
-    /// cost-scaling side the typed change feed recorded since the last
-    /// handoff, so its warm start consumes deltas natively instead of
-    /// diffing the whole graph (relaxation ignores the feed).
-    #[allow(clippy::result_large_err)] // see solve_owned
     pub fn solve_owned_with_deltas(
         &mut self,
         graph: FlowGraph,
@@ -156,188 +136,111 @@ impl DualSolver {
             SolverKind::RelaxationOnly => {
                 let mut g = graph;
                 match relaxation::solve_with(&mut g, opts, &self.config.relaxation) {
-                    Ok(sol) => Ok(DualOutcome {
-                        winner: sol.algorithm,
-                        solution: sol,
-                        graph: g,
-                        cs_stats: None,
-                        race_skipped: false,
-                    }),
+                    Ok(sol) => Ok(outcome(sol, g, None, false)),
                     Err(e) => Err((e, g)),
                 }
             }
-            SolverKind::CostScalingOnly => {
-                let mut g = graph;
-                match self.incremental.solve_with_deltas(&mut g, deltas, opts) {
-                    Ok(sol) => Ok(DualOutcome {
-                        winner: sol.algorithm,
-                        cs_stats: Some(sol.stats.clone()),
-                        solution: sol,
-                        graph: g,
-                        race_skipped: false,
-                    }),
-                    Err(e) => Err((e, g)),
-                }
+            SolverKind::CostScalingOnly => self.solve_incremental(graph, deltas, opts, false),
+            // Re-price-only short-circuit: a round whose whole batch is
+            // cost drift and exposes no reduced-cost violation — every
+            // change a cost rise on a flowless arc, the common convex-ladder
+            // shape under rising load — leaves the warm solver's
+            // certificate intact. The warm path proves quiescence in O(Δ);
+            // racing relaxation (plus its graph clone) would only burn a
+            // cold solve to reach the same optimum. Falls and flow-carrying
+            // rises may expose violations, so those rounds still race.
+            SolverKind::Dual
+                if self.incremental.is_warm()
+                    && deltas.is_some_and(|batch| reprice_only_quiescent(&graph, batch)) =>
+            {
+                self.solve_incremental(graph, deltas, opts, true)
             }
             SolverKind::Dual => self.solve_dual(graph, deltas, opts),
         }
     }
 
-    #[allow(clippy::result_large_err)] // see solve_owned
+    /// Incremental cost scaling alone, in place.
+    #[allow(clippy::result_large_err)] // see solve_owned_with_deltas
+    fn solve_incremental(
+        &mut self,
+        mut graph: FlowGraph,
+        deltas: Option<&DeltaBatch>,
+        opts: &SolveOptions,
+        race_skipped: bool,
+    ) -> Result<DualOutcome, (SolveError, FlowGraph)> {
+        match self.incremental.solve_with_deltas(&mut graph, deltas, opts) {
+            Ok(sol) => {
+                let stats = Some(sol.stats.clone());
+                Ok(outcome(sol, graph, stats, race_skipped))
+            }
+            Err(e) => Err((e, graph)),
+        }
+    }
+
+    /// The race: incremental cost scaling runs on the calling thread and
+    /// relaxation on one spawned thread, each on its own copy of the graph.
+    /// A racer that returns a solution cancels the other; a failed racer
+    /// (e.g. a spurious warm-start infeasibility) cancels nothing, so the
+    /// algorithm that can still succeed runs on. The inner loops check
+    /// their token every 256 iterations, and the caller then blocks in
+    /// `join` until relaxation has stopped.
+    #[allow(clippy::result_large_err)] // see solve_owned_with_deltas
     fn solve_dual(
         &mut self,
         graph: FlowGraph,
         deltas: Option<&DeltaBatch>,
         opts: &SolveOptions,
     ) -> Result<DualOutcome, (SolveError, FlowGraph)> {
-        // Re-price-only short-circuit (ROADMAP "re-price-only rounds could
-        // skip the solver race"): a round whose whole batch is cost drift
-        // and exposes no reduced-cost violation — every change a cost rise
-        // on a flowless arc, the common convex-ladder shape under rising
-        // load — leaves the warm solver's certificate intact. The warm
-        // path proves quiescence in O(Δ); spinning up the relaxation race
-        // (plus its full graph clone) would only burn a cold solve to
-        // reach the same optimum. Falls/flow-carrying rises may expose
-        // violations, so those rounds still race.
-        if let Some(batch) = deltas {
-            if self.incremental.is_warm() && reprice_only_quiescent(&graph, batch) {
-                let mut g = graph;
-                return match self.incremental.solve_with_deltas(&mut g, deltas, opts) {
-                    Ok(sol) => Ok(DualOutcome {
-                        winner: sol.algorithm,
-                        cs_stats: Some(sol.stats.clone()),
-                        solution: sol,
-                        graph: g,
-                        race_skipped: true,
-                    }),
-                    Err(e) => Err((e, g)),
-                };
-            }
-        }
         let cancel_relax = CancelToken::new();
         let cancel_cs = CancelToken::new();
         let mut relax_opts = opts.clone();
         relax_opts.cancel = Some(cancel_relax.clone());
         let mut cs_opts = opts.clone();
         cs_opts.cancel = Some(cancel_cs.clone());
-
-        let relax_cfg = self.config.relaxation.clone();
+        let relax_cfg = &self.config.relaxation;
         let incremental = &mut self.incremental;
 
         let (relax_result, cs_result) = std::thread::scope(|scope| {
             let mut g_relax = graph.clone();
-            let mut g_cs = graph;
-            let relax_handle = scope.spawn(move || {
-                let r = relaxation::solve_with(&mut g_relax, &relax_opts, &relax_cfg);
+            let relax = scope.spawn(move || {
+                let r = relaxation::solve_with(&mut g_relax, &relax_opts, relax_cfg);
+                if r.is_ok() {
+                    cancel_cs.cancel();
+                }
                 (r, g_relax)
             });
-            let cs_handle = scope.spawn(move || {
-                let r = incremental.solve_with_deltas(&mut g_cs, deltas, &cs_opts);
-                (r, g_cs)
-            });
-            // Whichever thread finishes first cancels the other — but only
-            // if it actually produced a solution: a failed finisher (e.g.
-            // a spurious infeasibility from a warm start) must not abort
-            // the algorithm that can still succeed. We poll with
-            // `is_finished`; the inner loops check their token every 256
-            // iterations.
-            let mut relax_done: Option<(Result<Solution, SolveError>, FlowGraph)> = None;
-            let mut cs_done: Option<(Result<Solution, SolveError>, FlowGraph)> = None;
-            let mut relax_handle = Some(relax_handle);
-            let mut cs_handle = Some(cs_handle);
-            loop {
-                if relax_done.is_none()
-                    && relax_handle
-                        .as_ref()
-                        .map(|h| h.is_finished())
-                        .unwrap_or(false)
-                {
-                    let r = relax_handle
-                        .take()
-                        .unwrap()
-                        .join()
-                        .expect("relaxation thread");
-                    if r.0.is_ok() {
-                        cancel_cs.cancel();
-                    }
-                    relax_done = Some(r);
-                }
-                if cs_done.is_none() && cs_handle.as_ref().map(|h| h.is_finished()).unwrap_or(false)
-                {
-                    let r = cs_handle
-                        .take()
-                        .unwrap()
-                        .join()
-                        .expect("cost-scaling thread");
-                    if r.0.is_ok() {
-                        cancel_relax.cancel();
-                    }
-                    cs_done = Some(r);
-                }
-                if relax_done.is_some() && cs_done.is_some() {
-                    break;
-                }
-                std::thread::yield_now();
+            let mut g_cs = graph;
+            let r = incremental.solve_with_deltas(&mut g_cs, deltas, &cs_opts);
+            if r.is_ok() {
+                cancel_relax.cancel();
             }
-            (relax_done.unwrap(), cs_done.unwrap())
+            (relax.join().expect("relaxation thread"), (r, g_cs))
         });
 
         // Prefer whichever produced a real (non-cancelled) solution; if
         // both finished, take the faster one.
-        let cs_stats = match &cs_result {
-            (Ok(cs), _) => Some(cs.stats.clone()),
-            _ => None,
-        };
-        let outcome = match (relax_result, cs_result) {
-            ((Ok(rs), rg), (Ok(cs), cg)) => {
-                if rs.runtime <= cs.runtime {
-                    DualOutcome {
-                        winner: rs.algorithm,
-                        solution: rs,
-                        graph: rg,
-                        cs_stats,
-                        race_skipped: false,
-                    }
-                } else {
-                    DualOutcome {
-                        winner: cs.algorithm,
-                        solution: cs,
-                        graph: cg,
-                        cs_stats,
-                        race_skipped: false,
-                    }
-                }
-            }
-            ((Ok(rs), rg), (Err(_), _)) => DualOutcome {
-                winner: rs.algorithm,
-                solution: rs,
-                graph: rg,
-                cs_stats,
-                race_skipped: false,
-            },
-            ((Err(_), _), (Ok(cs), cg)) => DualOutcome {
-                winner: cs.algorithm,
-                solution: cs,
-                graph: cg,
-                cs_stats,
-                race_skipped: false,
-            },
+        let cs_stats = cs_result.0.as_ref().ok().map(|cs| cs.stats.clone());
+        let (solution, graph) = match (relax_result, cs_result) {
+            ((Ok(rs), rg), (Ok(cs), _)) if rs.runtime <= cs.runtime => (rs, rg),
+            (_, (Ok(cs), cg)) => (cs, cg),
+            ((Ok(rs), rg), (Err(_), _)) => (rs, rg),
             ((Err(re), _), (Err(ce), cg)) => {
                 // Both failed: propagate the more informative error and
                 // hand a graph back so the caller can restore its state.
-                let err = match (&re, &ce) {
-                    (SolveError::Cancelled, e) => e.clone(),
-                    (e, _) => e.clone(),
+                let err = match re {
+                    SolveError::Cancelled => ce,
+                    re => re,
                 };
                 return Err((err, cg));
             }
         };
+        let out = outcome(solution, graph, cs_stats, false);
 
         // Handoff (§6.2): make sure the incremental solver can warm-start
         // from the winning flow next round.
-        match outcome.winner {
+        match out.winner {
             AlgorithmKind::Relaxation => {
-                self.incremental.adopt_solution(&outcome.graph);
+                self.incremental.adopt_solution(&out.graph);
             }
             // The incremental solver already certifies its own solution —
             // but only the one in *its* clone. Re-adopt to be safe if it
@@ -345,11 +248,27 @@ impl DualSolver {
             AlgorithmKind::IncrementalCostScaling | AlgorithmKind::CostScaling
                 if !self.incremental.is_warm() =>
             {
-                self.incremental.adopt_solution(&outcome.graph);
+                self.incremental.adopt_solution(&out.graph);
             }
             _ => {}
         }
-        Ok(outcome)
+        Ok(out)
+    }
+}
+
+/// Wraps a finished solve as the round's outcome.
+fn outcome(
+    solution: Solution,
+    graph: FlowGraph,
+    cs_stats: Option<SolveStats>,
+    race_skipped: bool,
+) -> DualOutcome {
+    DualOutcome {
+        winner: solution.algorithm,
+        solution,
+        graph,
+        cs_stats,
+        race_skipped,
     }
 }
 
@@ -389,7 +308,7 @@ mod tests {
         let inst = scheduling_instance(1, &InstanceSpec::default());
         let mut solver = DualSolver::default();
         let out = solver
-            .solve(&inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert!(is_optimal(&out.graph));
         assert!(!out.solution.terminated_early);
@@ -409,7 +328,7 @@ mod tests {
                 ..Default::default()
             });
             let out = solver
-                .solve(&inst.graph, &SolveOptions::unlimited())
+                .solve_owned_with_deltas(inst.graph.clone(), None, &SolveOptions::unlimited())
                 .unwrap();
             objectives.push(out.solution.objective);
         }
@@ -423,7 +342,7 @@ mod tests {
         let mut solver = DualSolver::default();
         for round in 0..4 {
             let out = solver
-                .solve(&inst.graph, &SolveOptions::unlimited())
+                .solve_owned_with_deltas(inst.graph.clone(), None, &SolveOptions::unlimited())
                 .unwrap();
             assert!(is_optimal(&out.graph), "round {round}");
             // Adopt the solution and mutate costs for the next round.
@@ -435,16 +354,25 @@ mod tests {
         }
     }
 
+    /// A warm dual solver given no feed on an unbalanced graph returns the
+    /// typed error (the all-dirty batch cannot vouch for balance) and its
+    /// incremental side goes cold.
     #[test]
-    fn input_graph_is_untouched() {
-        let inst = scheduling_instance(4, &InstanceSpec::default());
-        let before: Vec<i64> = inst.graph.arc_ids().map(|a| inst.graph.flow(a)).collect();
+    fn no_feed_warm_round_rejects_unbalanced_supply() {
+        let inst = scheduling_instance(6, &InstanceSpec::default());
         let mut solver = DualSolver::default();
-        let _ = solver
-            .solve(&inst.graph, &SolveOptions::unlimited())
+        let out = solver
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
-        let after: Vec<i64> = inst.graph.arc_ids().map(|a| inst.graph.flow(a)).collect();
-        assert_eq!(before, after);
+        assert!(solver.incremental.is_warm());
+        let mut graph = out.graph;
+        let d = graph.supply(inst.sink);
+        graph.set_supply(inst.sink, d - 1).unwrap();
+        let (err, _) = solver
+            .solve_owned_with_deltas(graph, None, &SolveOptions::unlimited())
+            .unwrap_err();
+        assert_eq!(err, SolveError::UnbalancedSupply { total: -1 });
+        assert!(!solver.incremental.is_warm());
     }
 
     /// The re-price-only short-circuit (ROADMAP item): a warm round whose
@@ -455,7 +383,7 @@ mod tests {
         let mut inst = scheduling_instance(21, &InstanceSpec::default());
         let mut solver = DualSolver::default();
         let out = solver
-            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert!(!out.race_skipped, "first (structural) round races");
         inst.graph = out.graph;
@@ -496,7 +424,7 @@ mod tests {
         let inst = scheduling_instance(22, &InstanceSpec::default());
         let mut solver = DualSolver::default();
         let out = solver
-            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         let out = solver
             .solve_owned_with_deltas(
@@ -517,7 +445,7 @@ mod tests {
         let mut inst = scheduling_instance(23, &InstanceSpec::default());
         let mut solver = DualSolver::default();
         let out = solver
-            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         inst.graph = out.graph;
         inst.graph.set_change_tracking(true);
@@ -554,7 +482,7 @@ mod tests {
             ..Default::default()
         });
         let out = solver
-            .solve(&inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert_eq!(out.winner, AlgorithmKind::IncrementalCostScaling);
         assert!(is_optimal(&out.graph));

@@ -39,6 +39,11 @@
 //!    solver work therefore scales with the delta size, not the graph
 //!    size.
 //!
+//! This is the only warm path. A caller that did not record its changes
+//! passes no batch; the solver then feeds the same four steps
+//! [`DeltaBatch::all_dirty`], making the whole graph the dirty region,
+//! after checking global supply balance itself.
+//!
 //! A **safety valve** bounds warm-start regressions: if the warm attempt
 //! exceeds a configurable multiple of the last from-scratch solve's work
 //! (iteration count), or hits a spurious warm-start infeasibility, the
@@ -222,12 +227,6 @@ impl IncrementalCostScaling {
         self.warm
     }
 
-    /// Marks the internal state as certifying the graph's current flow; used
-    /// when this solver itself produced the last solution.
-    pub fn mark_warm(&mut self) {
-        self.warm = true;
-    }
-
     /// Discards warm state; the next solve runs from scratch.
     pub fn reset(&mut self) {
         self.warm = false;
@@ -239,21 +238,10 @@ impl IncrementalCostScaling {
     /// The caller is expected to have already applied any cluster changes to
     /// `graph` (the flow left over from the previous round, clamped or
     /// disrupted by those changes, is the starting pseudoflow). When cold,
-    /// this is identical to from-scratch cost scaling.
-    ///
-    /// Without a delta feed the warm start falls back to a full-graph
-    /// violation scan; callers that track changes should prefer
-    /// [`solve_with_deltas`](Self::solve_with_deltas).
-    pub fn solve(
-        &mut self,
-        graph: &mut FlowGraph,
-        opts: &SolveOptions,
-    ) -> Result<Solution, SolveError> {
-        self.solve_with_deltas(graph, None, opts)
-    }
-
-    /// Solves the graph, warm-starting natively from the recorded change
-    /// feed (see the module docs for the four-step delta path).
+    /// this is identical to from-scratch cost scaling. When warm, the start
+    /// is guided by `deltas`, the change feed recorded since the last
+    /// handoff (see the module docs for the four-step delta path); `None`
+    /// means the changes went unrecorded, so every live node is dirty.
     pub fn solve_with_deltas(
         &mut self,
         graph: &mut FlowGraph,
@@ -278,7 +266,16 @@ impl IncrementalCostScaling {
         };
         let attempt = match deltas {
             Some(batch) => self.warm_solve_from_deltas(graph, batch, &warm_opts),
-            None => self.warm_solve_diffed(graph, &warm_opts),
+            None => {
+                // The core checks balance from the batch's supply deltas,
+                // which an all-dirty batch does not carry: sum the graph.
+                let total: i64 = graph.node_ids().map(|v| graph.supply(v)).sum();
+                if total != 0 {
+                    Err(SolveError::UnbalancedSupply { total })
+                } else {
+                    self.warm_solve_from_deltas(graph, &DeltaBatch::all_dirty(graph), &warm_opts)
+                }
+            }
         };
         match attempt {
             Ok(sol) if !sol.terminated_early => {
@@ -349,33 +346,6 @@ impl IncrementalCostScaling {
                 self.last_cold_work = Some(sol.stats.iterations.max(1));
             }
             _ => self.warm = false,
-        }
-        result.map(|sol| Solution {
-            algorithm: AlgorithmKind::IncrementalCostScaling,
-            ..sol
-        })
-    }
-
-    /// Legacy warm path: full-graph violation diff (kept for callers with
-    /// no change feed).
-    fn warm_solve_diffed(
-        &mut self,
-        graph: &mut FlowGraph,
-        opts: &SolveOptions,
-    ) -> Result<Solution, SolveError> {
-        // Start at the largest complementary-slackness violation left by
-        // the changes (§6.2: "a value of ε equal to the costliest arc graph
-        // change").
-        let eps0 = max_violation(graph, &self.state.potentials, self.state.scale).max(1);
-        let result = run_phases(
-            graph,
-            opts,
-            &self.config.cost_scaling,
-            &mut self.state,
-            eps0,
-        );
-        if result.is_err() {
-            self.warm = false;
         }
         result.map(|sol| Solution {
             algorithm: AlgorithmKind::IncrementalCostScaling,
@@ -711,27 +681,6 @@ fn local_excess(graph: &FlowGraph, node: NodeId) -> i64 {
     e
 }
 
-/// Largest negative reduced cost over residual arcs (in scaled units), i.e.
-/// the ε at which the current pseudoflow is still ε-optimal. This is the
-/// legacy full-graph diff retained for feeds without a change log; the
-/// delta path derives the same quantity from the batch in O(Δ).
-fn max_violation(graph: &FlowGraph, potentials: &[i64], scale: i64) -> i64 {
-    let mut worst = 0i64;
-    for u in graph.node_ids() {
-        for &a in graph.adj(u) {
-            if graph.rescap(a) <= 0 {
-                continue;
-            }
-            let v = graph.dst(a);
-            let rc = scale * graph.cost(a) + potentials[u.index()] - potentials[v.index()];
-            if -rc > worst {
-                worst = -rc;
-            }
-        }
-    }
-    worst
-}
-
 /// Efficient task removal (§5.3.2): reconstructs a departing task's unit of
 /// flow through the graph and drains it, so the imbalance appears at the
 /// sink alone instead of stranding demand at the machine node.
@@ -833,7 +782,7 @@ mod tests {
         let mut inst = scheduling_instance(1, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
         let sol = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
+            .solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert!(is_optimal(&inst.graph));
         let mut fresh = scheduling_instance(1, &InstanceSpec::default());
@@ -847,7 +796,7 @@ mod tests {
         for seed in 0..5 {
             let mut inst = scheduling_instance(seed, &InstanceSpec::default());
             let mut inc = IncrementalCostScaling::default();
-            inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+            inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
 
             let arcs: Vec<ArcId> = inst.graph.arc_ids().collect();
@@ -855,7 +804,7 @@ mod tests {
             inst.graph.set_arc_cost(arcs[11], 180).unwrap();
 
             let warm = inc
-                .solve(&mut inst.graph, &SolveOptions::unlimited())
+                .solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
             assert!(is_optimal(&inst.graph), "seed {seed}");
             let mut fresh = inst.graph.clone();
@@ -869,7 +818,7 @@ mod tests {
     fn warm_resolve_after_task_arrival() {
         let mut inst = scheduling_instance(3, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+        inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
 
         // Submit a new task.
@@ -881,7 +830,7 @@ mod tests {
         grow_unscheduled_capacity(&mut inst, 1);
 
         let warm = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
+            .solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert!(is_optimal(&inst.graph));
         let mut fresh = inst.graph.clone();
@@ -897,7 +846,7 @@ mod tests {
         for seed in 0..8 {
             let mut inst = scheduling_instance(seed, &InstanceSpec::default());
             let mut inc = IncrementalCostScaling::default();
-            inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+            inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
 
             inst.graph.set_change_tracking(true);
@@ -947,7 +896,7 @@ mod tests {
     fn empty_delta_feed_is_free() {
         let mut inst = scheduling_instance(4, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+        inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         let before: Vec<i64> = inst.graph.arc_ids().map(|a| inst.graph.flow(a)).collect();
         let batch = DeltaBatch::empty();
@@ -975,7 +924,7 @@ mod tests {
         let mut inst = scheduling_instance(2, &spec);
         let mut inc = IncrementalCostScaling::default();
         let cold = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
+            .solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
 
         inst.graph.set_change_tracking(true);
@@ -1048,7 +997,7 @@ mod tests {
             };
             let mut inst = scheduling_instance(seed, &spec);
             let mut inc = IncrementalCostScaling::default();
-            inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+            inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
 
             inst.graph.set_change_tracking(true);
@@ -1130,7 +1079,7 @@ mod tests {
             };
             let mut inst = scheduling_instance(seed, &spec);
             let mut inc = IncrementalCostScaling::default();
-            inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+            inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
 
             // Drain-then-backfill: placed tasks complete, freeing slots a
@@ -1189,7 +1138,7 @@ mod tests {
     fn safety_valve_bails_to_cold() {
         let mut inst = scheduling_instance(6, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+        inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         // Make the valve absurdly tight so any non-trivial warm attempt
         // trips it.
@@ -1203,7 +1152,7 @@ mod tests {
                 .unwrap();
         }
         let sol = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
+            .solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert_eq!(sol.stats.bailouts, 1, "valve must have tripped");
         assert!(is_optimal(&inst.graph));
@@ -1213,6 +1162,25 @@ mod tests {
         assert_eq!(sol.objective, scratch.objective);
     }
 
+    /// With no feed, the all-dirty batch carries no supply deltas, so the
+    /// warm solver must check global balance itself: an unbalanced graph
+    /// is rejected with a typed error and the solver goes cold.
+    #[test]
+    fn no_feed_warm_solve_rejects_unbalanced_supply() {
+        let mut inst = scheduling_instance(8, &InstanceSpec::default());
+        let mut inc = IncrementalCostScaling::default();
+        inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
+            .unwrap();
+        assert!(inc.is_warm());
+        let d = inst.graph.supply(inst.sink);
+        inst.graph.set_supply(inst.sink, d - 1).unwrap();
+        let err = inc
+            .solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
+            .unwrap_err();
+        assert_eq!(err, SolveError::UnbalancedSupply { total: -1 });
+        assert!(!inc.is_warm(), "a rejected warm solve must go cold");
+    }
+
     /// The persistent scratch: after every warm solve — busy or quiescent
     /// — the lazily-cleared buffers are back in the all-clear state, and
     /// the allocations persist across rounds (no per-round realloc).
@@ -1220,7 +1188,7 @@ mod tests {
     fn warm_scratch_is_lazily_cleared_and_reused() {
         let mut inst = scheduling_instance(3, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+        inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert!(inc.scratch.is_clean(), "initial state is clean");
 
@@ -1267,7 +1235,7 @@ mod tests {
     fn flowless_cost_increase_is_free_for_the_warm_start() {
         let mut inst = scheduling_instance(7, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+        inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         // Raise the cost of every flowless arc (except unscheduled arcs,
         // to keep the optimum where it is).
@@ -1303,7 +1271,7 @@ mod tests {
     fn drain_task_flow_balances_graph() {
         let mut inst = scheduling_instance(5, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+        inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
 
         // Pick a task that is actually scheduled on a machine.
@@ -1340,7 +1308,7 @@ mod tests {
         // The contrast case motivating the heuristic.
         let mut inst = scheduling_instance(5, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+        inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         let scheduled = inst
             .tasks
@@ -1368,7 +1336,7 @@ mod tests {
     fn incremental_with_task_removal_matches_scratch() {
         let mut inst = scheduling_instance(9, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+        inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
 
         // Remove three tasks with the drain heuristic.
@@ -1380,7 +1348,7 @@ mod tests {
             inst.graph.set_supply(inst.sink, d + 1).unwrap();
         }
         let warm = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
+            .solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert!(is_optimal(&inst.graph));
         let mut fresh = inst.graph.clone();
@@ -1403,7 +1371,7 @@ mod tests {
         let arcs: Vec<ArcId> = inst.graph.arc_ids().collect();
         inst.graph.set_arc_cost(arcs[9], 2).unwrap();
         let warm = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
+            .solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert!(is_optimal(&inst.graph));
         let mut fresh = inst.graph.clone();

@@ -31,7 +31,10 @@
 //!
 //! let inst = scheduling_instance(7, &InstanceSpec::default());
 //! let mut solver = DualSolver::default();
-//! let out = solver.solve(&inst.graph, &SolveOptions::unlimited()).unwrap();
+//! // No recorded change feed: a warm solver would treat every node as dirty.
+//! let out = solver
+//!     .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
+//!     .unwrap();
 //! assert!(firmament_mcmf::verify::is_optimal(&out.graph));
 //! println!("{} won in {:?}", out.winner, out.solution.runtime);
 //! ```

@@ -154,7 +154,8 @@ fn warm_solver_survives_total_workload_turnover() {
     }
     g.set_supply(sink, -4).unwrap();
     let mut inc = IncrementalCostScaling::default();
-    inc.solve(&mut g, &SolveOptions::unlimited()).unwrap();
+    inc.solve_with_deltas(&mut g, None, &SolveOptions::unlimited())
+        .unwrap();
     assert!(is_optimal(&g));
 
     // Full turnover.
@@ -169,7 +170,9 @@ fn warm_solver_survives_total_workload_turnover() {
         g.add_arc(t, m1, 1, 7).unwrap();
     }
     g.set_supply(sink, -3).unwrap();
-    let warm = inc.solve(&mut g, &SolveOptions::unlimited()).unwrap();
+    let warm = inc
+        .solve_with_deltas(&mut g, None, &SolveOptions::unlimited())
+        .unwrap();
     assert!(is_optimal(&g));
     let mut fresh = g.clone();
     let scratch = cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();
@@ -181,7 +184,7 @@ fn ten_consecutive_warm_rounds_stay_exact() {
     use firmament_flow::testgen::{scheduling_instance, InstanceSpec};
     let mut inst = scheduling_instance(42, &InstanceSpec::default());
     let mut inc = IncrementalCostScaling::default();
-    inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+    inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
         .unwrap();
     for round in 0..10 {
         let arcs: Vec<_> = inst.graph.arc_ids().collect();
@@ -189,7 +192,7 @@ fn ten_consecutive_warm_rounds_stay_exact() {
         let c = inst.graph.cost(a);
         inst.graph.set_arc_cost(a, (c * 3 + 7) % 120 + 1).unwrap();
         let warm = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
+            .solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         let mut fresh = inst.graph.clone();
         let scratch = cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();

@@ -67,21 +67,6 @@ pub use network_aware::NetworkAwareCostModel;
 pub use octopus::{OctopusConfig, OctopusCostModel};
 pub use quincy::{QuincyConfig, QuincyCostModel};
 
-/// Deprecated name of [`LoadSpreadingCostModel`] from the pre-split
-/// `SchedulingPolicy` API.
-#[deprecated(since = "0.2.0", note = "renamed to LoadSpreadingCostModel")]
-pub type LoadSpreadingPolicy = LoadSpreadingCostModel;
-
-/// Deprecated name of [`QuincyCostModel`] from the pre-split
-/// `SchedulingPolicy` API.
-#[deprecated(since = "0.2.0", note = "renamed to QuincyCostModel")]
-pub type QuincyPolicy = QuincyCostModel;
-
-/// Deprecated name of [`NetworkAwareCostModel`] from the pre-split
-/// `SchedulingPolicy` API.
-#[deprecated(since = "0.2.0", note = "renamed to NetworkAwareCostModel")]
-pub type NetworkAwarePolicy = NetworkAwareCostModel;
-
 use firmament_cluster::{MachineId, TaskId};
 
 /// Errors raised while translating cluster state into the flow network

@@ -60,7 +60,7 @@
 //!
 //! | pre-0.2 | 0.2 |
 //! |---------|-----|
-//! | `LoadSpreadingPolicy` / `QuincyPolicy` / `NetworkAwarePolicy` | `LoadSpreadingCostModel` / `QuincyCostModel` / `NetworkAwareCostModel` (deprecated aliases remain) |
+//! | `LoadSpreadingPolicy` / `QuincyPolicy` / `NetworkAwarePolicy` | `LoadSpreadingCostModel` / `QuincyCostModel` / `NetworkAwareCostModel` (the deprecated aliases were removed in 0.6) |
 //! | `impl SchedulingPolicy` (~300–450 lines incl. graph code) | `impl CostModel` (a few dozen lines of cost arithmetic) |
 //! | `firmament.policy()` / `policy_mut()` | [`model()`](core::Firmament::model) / [`model_mut()`](core::Firmament::model_mut) |
 //! | `firmament.policy().base().graph` | [`graph()`](core::Firmament::graph) |
@@ -69,8 +69,9 @@
 //!
 //! `extract_placements` now returns a `BTreeMap` (task-ordered), making
 //! scheduler action order deterministic by construction, and the solver
-//! consumes the graph by move (`DualSolver::solve_owned`) instead of
-//! cloning it every round.
+//! consumes the graph by move (since 0.6 through its single entry point,
+//! `DualSolver::solve_owned_with_deltas`) instead of cloning it every
+//! round.
 //!
 //! # The delta-feed solver handoff (0.3)
 //!
@@ -90,8 +91,9 @@
 //!                                      │ optimal flow (adopted back)
 //! ```
 //!
-//! The incremental cost-scaling side consumes the feed natively — no
-//! full-graph diffing on the hot path: new nodes get targeted price
+//! The incremental cost-scaling side consumes the feed natively, and
+//! since 0.6 this is its only warm path (a caller with no feed passes
+//! `None`, which makes every live node dirty): new nodes get targeted price
 //! initialization, the starting ε comes from a violation scan over the
 //! dirty region only, feasibility damage becomes local excesses, and the
 //! ε-schedule's per-phase saturation visits only arcs adjacent to the
@@ -183,6 +185,27 @@
 //! runs the warm cost-scaling path alone (O(Δ), no relaxation thread, no
 //! graph clone) and records the skip on
 //! [`core::SolverStats::race_skipped`].
+//!
+//! # One warm path, one entry point per solver (0.6)
+//!
+//! The diff-based warm start is gone: incremental cost scaling always
+//! warm-starts from a [`flow::delta::DeltaBatch`], and a caller with no
+//! recorded feed passes `None`, which the solver turns into
+//! [`DeltaBatch::all_dirty`](flow::delta::DeltaBatch::all_dirty) after
+//! checking global supply balance.
+//!
+//! | pre-0.6 | 0.6 |
+//! |---------|-----|
+//! | `dual.solve(&g, opts)` | `dual.solve_owned_with_deltas(g.clone(), None, opts)` |
+//! | `dual.solve_owned(g, opts)` | `dual.solve_owned_with_deltas(g, None, opts)` |
+//! | `IncrementalCostScaling`'s feedless solve | `solve_with_deltas(&mut g, None, opts)` |
+//!
+//! Two helpers without callers went with them: the incremental solver's
+//! manual warm marker and the raw change log's cost-perturbation size.
+//!
+//! The dual race no longer has a coordinator thread polling the racers:
+//! cost scaling runs on the caller's thread, relaxation on one spawned
+//! thread, and whichever returns a solution first cancels the other.
 //!
 //! [`policies::ArcBundle`]: policies::ArcBundle
 //! [`ArcBundle::cost`]: policies::ArcBundle::cost

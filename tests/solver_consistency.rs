@@ -42,7 +42,9 @@ fn all_four_algorithms_agree_on_scheduling_graphs() {
 fn dual_solver_matches_single_algorithms() {
     let inst = scheduling_instance(11, &InstanceSpec::default());
     let mut dual = DualSolver::default();
-    let out = dual.solve(&inst.graph, &SolveOptions::unlimited()).unwrap();
+    let out = dual
+        .solve_owned_with_deltas(inst.graph.clone(), None, &SolveOptions::unlimited())
+        .unwrap();
     let mut g = inst.graph.clone();
     let reference = ssp::solve(&mut g, &SolveOptions::unlimited()).unwrap();
     assert_eq!(out.solution.objective, reference.objective);
@@ -113,7 +115,7 @@ fn prop_incremental_matches_scratch() {
         };
         let mut inst = scheduling_instance(seed, &spec);
         let mut inc = firmament::mcmf::incremental::IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+        inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         let arcs: Vec<_> = inst.graph.arc_ids().collect();
         let n_perturbations = 1 + rng.below(11) as usize;
@@ -124,7 +126,7 @@ fn prop_incremental_matches_scratch() {
             inst.graph.set_arc_cost(a, cost).unwrap();
         }
         let warm = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
+            .solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         let mut fresh = inst.graph.clone();
         let scratch = cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();
