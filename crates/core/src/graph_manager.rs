@@ -470,13 +470,13 @@ impl FlowGraphManager {
         self.stats
     }
 
-    /// Drains and compacts the graph changes recorded since the last call
-    /// — the typed feed the incremental solver warm-starts from. The
+    /// Takes the compacted graph deltas recorded since the last call — the
+    /// typed feed the incremental solver warm-starts from. The
     /// scheduler core calls this once per round, after the refresh and
     /// before [`take_graph`](Self::take_graph), so the batch covers
     /// exactly one handoff window.
     pub fn take_deltas(&mut self) -> DeltaBatch {
-        DeltaBatch::compact(self.base.graph.take_changes())
+        self.base.graph.take_deltas()
     }
 
     /// Takes the graph out of the manager for an owned (zero-copy) solve.

@@ -24,8 +24,8 @@
 //!                 placements ◄── extract (Listing 1) ◄────┘
 //! ```
 //!
-//! The manager's graph records its own change log; `schedule` drains it
-//! as a compacted [`firmament_flow::delta::DeltaBatch`] each round and
+//! The manager's graph records its changes as a compacted
+//! [`firmament_flow::delta::DeltaBatch`]; `schedule` takes it each round and
 //! the incremental solver warm-starts from the deltas natively (per-round
 //! telemetry on
 //! [`RoundOutcome::solver`](scheduler::RoundOutcome::solver)).

@@ -48,7 +48,8 @@ pub struct SolverStats {
     /// Compacted [`firmament_flow::delta::GraphDelta`]s handed to the
     /// solver this round.
     pub deltas_fed: usize,
-    /// Raw change-log entries the batch was compacted from.
+    /// Effective graph mutations folded into the batch
+    /// ([`DeltaBatch::raw_len`](firmament_flow::delta::DeltaBatch::raw_len)).
     pub raw_changes: usize,
     /// Pure re-pricings (`CostChanged`) among the deltas — the shape a
     /// convex-bundle segment re-price or a `dynamic_task_arcs` cost

@@ -1,100 +1,11 @@
-//! Graph-change taxonomy and the Table 3 reoptimization analysis.
+//! The Table 3 reoptimization analysis.
 //!
 //! All cluster events ultimately reduce to three kinds of flow-network
 //! change (§5.2): supply changes at nodes, capacity changes on arcs, and
-//! cost changes on arcs. This module records those changes for the
-//! incremental solvers and implements the paper's Table 3: which arc changes
-//! leave an optimal feasible flow valid, and which force reoptimization.
-
-use crate::ids::{ArcId, NodeId};
-use crate::node::NodeKind;
-
-/// One recorded mutation of a [`FlowGraph`](crate::FlowGraph).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraphChange {
-    /// A node was added (e.g. task submission).
-    AddNode {
-        /// The new node.
-        node: NodeId,
-        /// Its kind.
-        kind: NodeKind,
-        /// Its initial supply.
-        supply: i64,
-    },
-    /// A node was removed (e.g. task completion, machine failure). Incident
-    /// arc removals are recorded separately, before this entry.
-    RemoveNode {
-        /// The removed node.
-        node: NodeId,
-        /// The supply it had when removed.
-        supply: i64,
-    },
-    /// A node's supply changed.
-    SupplyChange {
-        /// The affected node.
-        node: NodeId,
-        /// Previous supply.
-        old: i64,
-        /// New supply.
-        new: i64,
-    },
-    /// An arc was added.
-    AddArc {
-        /// Forward id of the new pair.
-        arc: ArcId,
-        /// Tail node.
-        src: NodeId,
-        /// Head node.
-        dst: NodeId,
-        /// Capacity.
-        capacity: i64,
-        /// Cost.
-        cost: i64,
-    },
-    /// An arc was removed; `flow` is the flow it carried at removal time.
-    RemoveArc {
-        /// Forward id of the removed pair.
-        arc: ArcId,
-        /// Tail node.
-        src: NodeId,
-        /// Head node.
-        dst: NodeId,
-        /// Capacity at removal.
-        capacity: i64,
-        /// Cost at removal.
-        cost: i64,
-        /// Flow carried at removal (creates imbalance if non-zero).
-        flow: i64,
-    },
-    /// An arc's capacity changed; `flow_spilled` units were clamped off.
-    CapacityChange {
-        /// Forward id of the pair.
-        arc: ArcId,
-        /// Previous capacity.
-        old: i64,
-        /// New capacity.
-        new: i64,
-        /// Flow removed because it exceeded the new capacity.
-        flow_spilled: i64,
-    },
-    /// An arc's cost changed.
-    CostChange {
-        /// Forward id of the pair.
-        arc: ArcId,
-        /// Previous cost.
-        old: i64,
-        /// New cost.
-        new: i64,
-    },
-    /// Flow was moved at this node outside a solver run (e.g. a §5.3.2
-    /// task-removal drain ended here), so its excess may be non-zero even
-    /// though no structural change names it. Purely a marker for the
-    /// incremental solver's dirty set; carries no replayable effect.
-    FlowDisturbed {
-        /// The node whose conservation may have been broken.
-        node: NodeId,
-    },
-}
+//! cost changes on arcs. This module implements the paper's Table 3:
+//! which arc changes leave an optimal feasible flow valid, and which force
+//! reoptimization. The changes themselves reach incremental solvers as
+//! [`GraphDelta`](crate::delta::GraphDelta) batches (see [`crate::delta`]).
 
 /// The kind of single-arc change analysed by Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,23 +1,25 @@
-//! The typed graph change log handed from the graph owner to incremental
-//! solvers (§6.2–6.3): compaction of raw [`GraphChange`] streams into
-//! [`GraphDelta`] batches, and exact replay of a batch onto a snapshot.
+//! The typed graph change feed handed from the graph to incremental
+//! solvers (§6.2–6.3): [`GraphDelta`] batches that the graph compacts as
+//! it mutates, and exact replay of a batch onto a snapshot.
 //!
-//! # The change-log contract
+//! # The change-feed contract
 //!
-//! Three parties touch the log:
+//! Two parties touch the feed:
 //!
-//! - **The graph records.** A [`FlowGraph`](crate::FlowGraph) with change
-//!   tracking enabled appends one [`GraphChange`] per structural or pricing
-//!   mutation (node/arc add/remove, cost, capacity, supply). Flow pushes
-//!   are *not* recorded: between two solver handoffs every flow move the
-//!   graph owner makes (path drains, rebalancing) preserves conservation
-//!   except at nodes that also appear in the log, so the log plus the live
-//!   flow state is enough to find every node whose excess may be non-zero.
-//! - **The owner compacts and emits.** Whoever owns the graph (the
-//!   `FlowGraphManager` in `firmament-core`) drains the raw log once per
+//! - **The graph records compacted deltas.** A [`FlowGraph`] with change
+//!   tracking enabled folds every structural or pricing mutation
+//!   (node/arc add/remove, cost, capacity, supply) and every
+//!   flow-disturbance marker into a record per touched slot as it
+//!   happens, and [`FlowGraph::take_deltas`] emits the batch and empties
+//!   the recorder. Whoever owns the graph (the
+//!   `FlowGraphManager` in `firmament-core`) takes one batch per
 //!   scheduling round — *after* applying events and the dirty-node cost
-//!   refresh, *before* handing the graph to the solver — and compacts it
-//!   with [`DeltaBatch::compact`].
+//!   refresh, *before* handing the graph to the solver. Flow pushes are
+//!   *not* recorded: between two solver handoffs every flow move the
+//!   graph owner makes (path drains, rebalancing) preserves conservation
+//!   except at nodes that also appear in the batch, so the batch plus the
+//!   live flow state is enough to find every node whose excess may be
+//!   non-zero.
 //! - **The solver consumes.** An incremental solver warm-starts from the
 //!   batch alone: the touched-node set, the reduced-cost violations, and
 //!   the feasibility damage are all derivable from the deltas plus
@@ -46,10 +48,9 @@
 //! Replay ([`DeltaBatch::replay`]) reproduces the **structure** of the
 //! live graph exactly — alive sets, ids, kinds, supplies, arc endpoints,
 //! capacities, and costs. It does *not* reproduce flow (flow is carried by
-//! the live graph, not the log), so replayed capacity clamps may spill
+//! the live graph, not the batch), so replayed capacity clamps may spill
 //! differently than the live sequence did.
 
-use crate::changes::GraphChange;
 use crate::graph::{FlowGraph, GraphError};
 use crate::ids::{ArcId, NodeId};
 use crate::node::NodeKind;
@@ -57,9 +58,9 @@ use std::collections::HashMap;
 
 /// One compacted graph change, as consumed by incremental solvers.
 ///
-/// Unlike the raw [`GraphChange`] stream, a batch of `GraphDelta`s contains
-/// at most one structural entry per surviving entity and no entries at all
-/// for entities whose round trip (add then remove) cancelled out.
+/// A batch of `GraphDelta`s contains at most one structural entry per
+/// surviving entity and no entries at all for entities whose round trip
+/// (add then remove) cancelled out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphDelta {
     /// A node exists now that did not exist at the last handoff.
@@ -140,7 +141,7 @@ pub enum GraphDelta {
         flow_spilled: i64,
     },
     /// Flow was moved at this surviving node outside a solver run (a
-    /// recorded [`GraphChange::FlowDisturbed`] marker, e.g. the terminus
+    /// [`FlowGraph::note_flow_disturbance`] marker, e.g. the terminus
     /// of a §5.3.2 drain), so its excess must be re-derived even though no
     /// structural delta names it. [`DeltaBatch::all_dirty`] names every
     /// live node this way. No replayable effect.
@@ -150,48 +151,287 @@ pub enum GraphDelta {
     },
 }
 
-/// Per-node compaction state machine.
-struct NodeFold {
-    /// Did the node exist before the batch? Decided by the first op seen:
-    /// `AddNode` first means it did not, anything else means it did.
-    existed_before: bool,
-    /// Alive at the current point of the fold.
-    alive: bool,
-    /// Kind, known only when the node was (re-)added within the batch.
-    kind: Option<NodeKind>,
-    /// Current supply (valid while `alive`).
-    supply: i64,
-    /// Pre-batch supply (valid when `existed_before`).
-    first_old_supply: i64,
-    /// First removal of the pre-existing incarnation: (seq, supply).
-    removed: Option<(usize, i64)>,
-    /// Sequence of the last addition / last supply change, for ordering.
-    added_seq: usize,
-    supply_seq: usize,
+/// An arc pair's state as the recorder captures it: before the batch for
+/// a surviving arc, at removal for a removed one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArcState {
+    pub(crate) src: NodeId,
+    pub(crate) dst: NodeId,
+    pub(crate) capacity: i64,
+    pub(crate) cost: i64,
 }
 
-/// Removal record of a pre-existing arc: (src, dst, capacity, cost, flow).
-type RemovedArc = (NodeId, NodeId, i64, i64, i64);
+/// What the recorder keeps for one touched node slot. The live slot
+/// holds the current state, so only the pre-batch state and the
+/// ordering sequence numbers are stored.
+#[derive(Debug, Clone)]
+struct NodeRecord {
+    /// Supply before the batch, `None` if the slot was dead.
+    before: Option<i64>,
+    /// Sequence of the removal of the pre-batch incarnation.
+    removed: Option<usize>,
+    /// Sequence of the latest (re-)addition within the batch.
+    added: Option<usize>,
+    /// Sequence of the latest supply change.
+    supply_changed: usize,
+    /// Sequence of the first flow-disturbance marker.
+    disturbed: Option<usize>,
+}
 
-/// Per-arc compaction state machine (keyed by forward id).
-struct ArcFold {
-    existed_before: bool,
-    alive: bool,
-    /// Endpoints, known only when the arc was (re-)added within the batch.
-    endpoints: Option<(NodeId, NodeId)>,
-    /// Current capacity/cost (valid while `alive`).
-    capacity: i64,
-    cost: i64,
-    /// Pre-batch cost/capacity (valid when `existed_before` and the first
-    /// mutating op recorded them).
-    first_old_cost: Option<i64>,
-    first_old_capacity: Option<i64>,
-    /// First removal of the pre-existing incarnation.
-    removed: Option<(usize, RemovedArc)>,
-    /// Accumulated capacity-clamp spill across the batch.
+/// What the recorder keeps for one touched arc slot (keyed by forward id).
+#[derive(Debug, Clone)]
+struct ArcRecord {
+    /// State before the batch, `None` if the slot was dead.
+    before: Option<ArcState>,
+    /// Removal of the pre-batch incarnation: sequence, state and flow at
+    /// removal.
+    removed: Option<(usize, ArcState, i64)>,
+    /// Sequence of the latest (re-)addition within the batch.
+    added: Option<usize>,
+    /// Sequence of the latest cost or capacity change.
+    changed: usize,
+    /// Flow clamped off by capacity changes across the batch.
     spilled: i64,
-    added_seq: usize,
-    changed_seq: usize,
+}
+
+/// The emission categories, in dependency order (see module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stage {
+    ArcRemoved,
+    NodeRemoved,
+    NodeAdded,
+    ArcAdded,
+    Mutated,
+}
+
+/// The per-slot fold a tracked [`FlowGraph`] updates on every recorded
+/// mutation; [`FlowGraph::take_deltas`] turns it into a [`DeltaBatch`].
+/// Empty after each take, so it never holds anything that grows with the
+/// graph rather than with the batch.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DeltaRecorder {
+    /// Effective mutations recorded so far; also the sequence number of
+    /// the next one.
+    seq: usize,
+    nodes: HashMap<NodeId, NodeRecord>,
+    arcs: HashMap<ArcId, ArcRecord>,
+}
+
+impl DeltaRecorder {
+    /// The record of `node`, created with pre-batch supply `before` on
+    /// first touch, plus the sequence number of the mutation at hand.
+    fn node(&mut self, node: NodeId, before: Option<i64>) -> (&mut NodeRecord, usize) {
+        let seq = self.seq;
+        self.seq += 1;
+        let record = self.nodes.entry(node).or_insert(NodeRecord {
+            before,
+            removed: None,
+            added: None,
+            supply_changed: 0,
+            disturbed: None,
+        });
+        (record, seq)
+    }
+
+    /// The arc counterpart of [`node`](Self::node).
+    fn arc(&mut self, arc: ArcId, before: Option<ArcState>) -> (&mut ArcRecord, usize) {
+        let seq = self.seq;
+        self.seq += 1;
+        let record = self.arcs.entry(arc).or_insert(ArcRecord {
+            before,
+            removed: None,
+            added: None,
+            changed: 0,
+            spilled: 0,
+        });
+        (record, seq)
+    }
+
+    pub(crate) fn node_added(&mut self, node: NodeId) {
+        let (r, seq) = self.node(node, None);
+        r.added = Some(seq);
+    }
+
+    /// `supply` is the node's supply just before removal.
+    pub(crate) fn node_removed(&mut self, node: NodeId, supply: i64) {
+        let (r, seq) = self.node(node, Some(supply));
+        // Removing the pre-batch incarnation is recorded; removing a
+        // within-batch one cancels its addition.
+        if r.before.is_some() && r.removed.is_none() {
+            r.removed = Some(seq);
+        }
+    }
+
+    pub(crate) fn supply_changed(&mut self, node: NodeId, old: i64) {
+        let (r, seq) = self.node(node, Some(old));
+        r.supply_changed = seq;
+    }
+
+    /// `supply` is the (alive) node's current supply.
+    pub(crate) fn flow_disturbed(&mut self, node: NodeId, supply: i64) {
+        let (r, seq) = self.node(node, Some(supply));
+        r.disturbed.get_or_insert(seq);
+    }
+
+    pub(crate) fn arc_added(&mut self, arc: ArcId) {
+        let (r, seq) = self.arc(arc, None);
+        r.added = Some(seq);
+    }
+
+    /// `state` and `flow` are the arc's just before removal.
+    pub(crate) fn arc_removed(&mut self, arc: ArcId, state: ArcState, flow: i64) {
+        let (r, seq) = self.arc(arc, Some(state));
+        if r.before.is_some() && r.removed.is_none() {
+            r.removed = Some((seq, state, flow));
+        } else {
+            // Within-batch incarnation cancels; the contract guarantees it
+            // never carried flow (no solver runs inside a batch window).
+            debug_assert_eq!(
+                flow, 0,
+                "within-batch arc {arc} removed while carrying flow"
+            );
+        }
+    }
+
+    /// A cost or capacity change; `before` is the arc's state just before
+    /// it, `spilled` the flow a capacity clamp removed.
+    pub(crate) fn arc_changed(&mut self, arc: ArcId, before: ArcState, spilled: i64) {
+        let (r, seq) = self.arc(arc, Some(before));
+        r.changed = seq;
+        r.spilled += spilled;
+    }
+
+    /// Compares every touched slot's record against the live `graph` and
+    /// emits the surviving deltas in dependency order; within each
+    /// category, by the sequence number of the defining mutation, so
+    /// replay follows the live graph's slot-allocation history.
+    pub(crate) fn finish(self, graph: &FlowGraph) -> DeltaBatch {
+        let mut out: Vec<(Stage, usize, GraphDelta)> = Vec::new();
+        for (&arc, r) in &self.arcs {
+            if let Some((seq, s, flow)) = r.removed {
+                out.push((
+                    Stage::ArcRemoved,
+                    seq,
+                    GraphDelta::ArcRemoved {
+                        arc,
+                        src: s.src,
+                        dst: s.dst,
+                        capacity: s.capacity,
+                        cost: s.cost,
+                        flow,
+                    },
+                ));
+                // Feasibility damage must survive removal: a capacity
+                // clamp earlier in the batch spilled flow (excess at both
+                // endpoints), but the removal records the *post-clamp*
+                // flow — possibly 0 — so without these markers the
+                // solver would never re-derive the endpoints' excesses.
+                if r.spilled > 0 {
+                    out.push((Stage::Mutated, seq, GraphDelta::FlowTouched { node: s.src }));
+                    out.push((Stage::Mutated, seq, GraphDelta::FlowTouched { node: s.dst }));
+                }
+            }
+            if !graph.arc_alive(arc) {
+                continue;
+            }
+            let (capacity, cost) = (graph.capacity(arc), graph.cost(arc));
+            match (r.added, r.before) {
+                // (Re-)added within the batch.
+                (Some(seq), _) => out.push((
+                    Stage::ArcAdded,
+                    seq,
+                    GraphDelta::ArcAdded {
+                        arc,
+                        src: graph.src(arc),
+                        dst: graph.dst(arc),
+                        capacity,
+                        cost,
+                    },
+                )),
+                // Survived in place: merged mutations only.
+                (None, Some(old)) => {
+                    if old.cost != cost {
+                        out.push((
+                            Stage::Mutated,
+                            r.changed,
+                            GraphDelta::CostChanged {
+                                arc,
+                                old: old.cost,
+                                new: cost,
+                            },
+                        ));
+                    }
+                    if old.capacity != capacity || r.spilled > 0 {
+                        out.push((
+                            Stage::Mutated,
+                            r.changed,
+                            GraphDelta::CapacityChanged {
+                                arc,
+                                old: old.capacity,
+                                new: capacity,
+                                flow_spilled: r.spilled,
+                            },
+                        ));
+                    }
+                }
+                (None, None) => {}
+            }
+        }
+        for (&node, r) in &self.nodes {
+            if let (Some(supply), Some(seq)) = (r.before, r.removed) {
+                // Report the pre-batch supply, not the removal-time one:
+                // in-batch supply changes were absorbed into this entry,
+                // and the solver's balance check sums end-state minus
+                // pre-batch supplies.
+                out.push((
+                    Stage::NodeRemoved,
+                    seq,
+                    GraphDelta::NodeRemoved { node, supply },
+                ));
+            }
+            if !graph.node_alive(node) {
+                continue;
+            }
+            let supply = graph.supply(node);
+            match (r.added, r.before) {
+                // (Re-)added within the batch.
+                (Some(seq), _) => out.push((
+                    Stage::NodeAdded,
+                    seq,
+                    GraphDelta::NodeAdded {
+                        node,
+                        kind: graph.kind(node),
+                        supply,
+                    },
+                )),
+                // Survived in place: merged supply change and the first
+                // flow-disturbance marker.
+                (None, Some(old)) => {
+                    if old != supply {
+                        out.push((
+                            Stage::Mutated,
+                            r.supply_changed,
+                            GraphDelta::SupplyChanged {
+                                node,
+                                old,
+                                new: supply,
+                            },
+                        ));
+                    }
+                    if let Some(seq) = r.disturbed {
+                        out.push((Stage::Mutated, seq, GraphDelta::FlowTouched { node }));
+                    }
+                }
+                (None, None) => {}
+            }
+        }
+        // Stable: the only ties are deltas of one record, pushed in order.
+        out.sort_by_key(|&(stage, seq, _)| (stage, seq));
+        DeltaBatch {
+            deltas: out.into_iter().map(|(_, _, d)| d).collect(),
+            raw_len: self.seq,
+        }
+    }
 }
 
 /// A compacted, replayable batch of graph changes covering one handoff
@@ -200,7 +440,7 @@ struct ArcFold {
 /// # Examples
 ///
 /// ```
-/// use firmament_flow::delta::{DeltaBatch, GraphDelta};
+/// use firmament_flow::delta::GraphDelta;
 /// use firmament_flow::{FlowGraph, NodeKind};
 ///
 /// let mut g = FlowGraph::new();
@@ -213,7 +453,7 @@ struct ArcFold {
 /// let ghost = g.add_node(NodeKind::Other { tag: 9 }, 0);
 /// g.remove_node(ghost).unwrap();
 ///
-/// let batch = DeltaBatch::compact(g.take_changes());
+/// let batch = g.take_deltas();
 /// assert_eq!(batch.raw_len(), 6);
 /// // Two node adds + one arc add (with the final cost folded in).
 /// assert_eq!(batch.len(), 3);
@@ -248,349 +488,6 @@ impl DeltaBatch {
         }
     }
 
-    /// Compacts a raw change stream into a typed delta batch.
-    pub fn compact(changes: Vec<GraphChange>) -> Self {
-        let raw_len = changes.len();
-        let mut nodes: HashMap<u32, NodeFold> = HashMap::new();
-        let mut arcs: HashMap<u32, ArcFold> = HashMap::new();
-        // Nodes with flow disturbances, by first marker sequence.
-        let mut disturbed: Vec<(usize, u32)> = Vec::new();
-
-        for (seq, change) in changes.into_iter().enumerate() {
-            match change {
-                GraphChange::FlowDisturbed { node } => {
-                    disturbed.push((seq, node.index() as u32));
-                    continue;
-                }
-                GraphChange::AddNode { node, kind, supply } => {
-                    let f = nodes
-                        .entry(node.index() as u32)
-                        .or_insert_with(|| NodeFold {
-                            existed_before: false,
-                            alive: false,
-                            kind: None,
-                            supply: 0,
-                            first_old_supply: 0,
-                            removed: None,
-                            added_seq: 0,
-                            supply_seq: 0,
-                        });
-                    f.alive = true;
-                    f.kind = Some(kind);
-                    f.supply = supply;
-                    f.added_seq = seq;
-                }
-                GraphChange::RemoveNode { node, supply } => {
-                    let f = nodes
-                        .entry(node.index() as u32)
-                        .or_insert_with(|| NodeFold {
-                            existed_before: true,
-                            alive: true,
-                            kind: None,
-                            supply,
-                            first_old_supply: supply,
-                            removed: None,
-                            added_seq: 0,
-                            supply_seq: 0,
-                        });
-                    if f.kind.is_none() && f.existed_before && f.removed.is_none() {
-                        // Removing the pre-existing incarnation.
-                        f.removed = Some((seq, supply));
-                    }
-                    // Otherwise: a within-batch incarnation cancels.
-                    f.alive = false;
-                    f.kind = None;
-                }
-                GraphChange::SupplyChange { node, old, new } => {
-                    let f = nodes
-                        .entry(node.index() as u32)
-                        .or_insert_with(|| NodeFold {
-                            existed_before: true,
-                            alive: true,
-                            kind: None,
-                            supply: old,
-                            first_old_supply: old,
-                            removed: None,
-                            added_seq: 0,
-                            supply_seq: 0,
-                        });
-                    f.supply = new;
-                    f.supply_seq = seq;
-                }
-                GraphChange::AddArc {
-                    arc,
-                    src,
-                    dst,
-                    capacity,
-                    cost,
-                } => {
-                    let f = arcs.entry(arc.index() as u32).or_insert_with(|| ArcFold {
-                        existed_before: false,
-                        alive: false,
-                        endpoints: None,
-                        capacity: 0,
-                        cost: 0,
-                        first_old_cost: None,
-                        first_old_capacity: None,
-                        removed: None,
-                        spilled: 0,
-                        added_seq: 0,
-                        changed_seq: 0,
-                    });
-                    f.alive = true;
-                    f.endpoints = Some((src, dst));
-                    f.capacity = capacity;
-                    f.cost = cost;
-                    f.added_seq = seq;
-                }
-                GraphChange::RemoveArc {
-                    arc,
-                    src,
-                    dst,
-                    capacity,
-                    cost,
-                    flow,
-                } => {
-                    let f = arcs.entry(arc.index() as u32).or_insert_with(|| ArcFold {
-                        existed_before: true,
-                        alive: true,
-                        endpoints: None,
-                        capacity,
-                        cost,
-                        first_old_cost: Some(cost),
-                        first_old_capacity: Some(capacity),
-                        removed: None,
-                        spilled: 0,
-                        added_seq: 0,
-                        changed_seq: 0,
-                    });
-                    if f.endpoints.is_none() && f.existed_before && f.removed.is_none() {
-                        f.removed = Some((seq, (src, dst, capacity, cost, flow)));
-                    } else {
-                        // Within-batch incarnation cancels; the contract
-                        // guarantees it never carried flow (no solver runs
-                        // inside a batch window).
-                        debug_assert_eq!(
-                            flow, 0,
-                            "within-batch arc {arc} removed while carrying flow"
-                        );
-                    }
-                    f.alive = false;
-                    f.endpoints = None;
-                }
-                GraphChange::CostChange { arc, old, new } => {
-                    let f = arcs.entry(arc.index() as u32).or_insert_with(|| ArcFold {
-                        existed_before: true,
-                        alive: true,
-                        endpoints: None,
-                        capacity: 0,
-                        cost: old,
-                        first_old_cost: None,
-                        first_old_capacity: None,
-                        removed: None,
-                        spilled: 0,
-                        added_seq: 0,
-                        changed_seq: 0,
-                    });
-                    if f.endpoints.is_none() && f.first_old_cost.is_none() {
-                        f.first_old_cost = Some(old);
-                    }
-                    f.cost = new;
-                    f.changed_seq = seq;
-                }
-                GraphChange::CapacityChange {
-                    arc,
-                    old,
-                    new,
-                    flow_spilled,
-                } => {
-                    let f = arcs.entry(arc.index() as u32).or_insert_with(|| ArcFold {
-                        existed_before: true,
-                        alive: true,
-                        endpoints: None,
-                        capacity: old,
-                        cost: 0,
-                        first_old_cost: None,
-                        first_old_capacity: None,
-                        removed: None,
-                        spilled: 0,
-                        added_seq: 0,
-                        changed_seq: 0,
-                    });
-                    if f.endpoints.is_none() && f.first_old_capacity.is_none() {
-                        f.first_old_capacity = Some(old);
-                    }
-                    f.capacity = new;
-                    f.spilled += flow_spilled;
-                    f.changed_seq = seq;
-                }
-            }
-        }
-
-        // Emission in dependency order (see module docs); within each
-        // category, by the sequence number of the defining operation, so
-        // replay follows the live graph's slot-allocation history.
-        let mut arc_removed: Vec<(usize, GraphDelta)> = Vec::new();
-        let mut node_removed: Vec<(usize, GraphDelta)> = Vec::new();
-        let mut node_added: Vec<(usize, GraphDelta)> = Vec::new();
-        let mut arc_added: Vec<(usize, GraphDelta)> = Vec::new();
-        let mut mutated: Vec<(usize, GraphDelta)> = Vec::new();
-
-        for (raw, f) in &arcs {
-            let arc = ArcId::from_index(*raw as usize);
-            if let Some((seq, (src, dst, capacity, cost, flow))) = f.removed {
-                arc_removed.push((
-                    seq,
-                    GraphDelta::ArcRemoved {
-                        arc,
-                        src,
-                        dst,
-                        capacity,
-                        cost,
-                        flow,
-                    },
-                ));
-                // Feasibility damage must survive removal: a capacity
-                // clamp earlier in the batch spilled flow (excess at both
-                // endpoints), but the removal records the *post-clamp*
-                // flow — possibly 0 — so without these markers the
-                // solver would never re-derive the endpoints' excesses.
-                if f.spilled > 0 {
-                    mutated.push((seq, GraphDelta::FlowTouched { node: src }));
-                    mutated.push((seq, GraphDelta::FlowTouched { node: dst }));
-                }
-            }
-            if !f.alive {
-                continue;
-            }
-            match f.endpoints {
-                // (Re-)added within the batch.
-                Some((src, dst)) => arc_added.push((
-                    f.added_seq,
-                    GraphDelta::ArcAdded {
-                        arc,
-                        src,
-                        dst,
-                        capacity: f.capacity,
-                        cost: f.cost,
-                    },
-                )),
-                // Survived in place: merged mutations only.
-                None => {
-                    if let Some(old) = f.first_old_cost {
-                        if old != f.cost {
-                            mutated.push((
-                                f.changed_seq,
-                                GraphDelta::CostChanged {
-                                    arc,
-                                    old,
-                                    new: f.cost,
-                                },
-                            ));
-                        }
-                    }
-                    if let Some(old) = f.first_old_capacity {
-                        if old != f.capacity || f.spilled > 0 {
-                            mutated.push((
-                                f.changed_seq,
-                                GraphDelta::CapacityChanged {
-                                    arc,
-                                    old,
-                                    new: f.capacity,
-                                    flow_spilled: f.spilled,
-                                },
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for (raw, f) in &nodes {
-            let node = NodeId::from_index(*raw as usize);
-            if let Some((seq, _removal_supply)) = f.removed {
-                // Report the pre-batch supply, not the removal-time one:
-                // in-batch supply changes were absorbed into this entry,
-                // and the solver's balance check sums end-state minus
-                // pre-batch supplies.
-                node_removed.push((
-                    seq,
-                    GraphDelta::NodeRemoved {
-                        node,
-                        supply: f.first_old_supply,
-                    },
-                ));
-            }
-            if !f.alive {
-                continue;
-            }
-            match f.kind {
-                // (Re-)added within the batch.
-                Some(kind) => node_added.push((
-                    f.added_seq,
-                    GraphDelta::NodeAdded {
-                        node,
-                        kind,
-                        supply: f.supply,
-                    },
-                )),
-                // Survived in place: merged supply change only.
-                None => {
-                    if f.first_old_supply != f.supply {
-                        mutated.push((
-                            f.supply_seq,
-                            GraphDelta::SupplyChanged {
-                                node,
-                                old: f.first_old_supply,
-                                new: f.supply,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-
-        // Flow-disturbance markers survive for nodes still alive at the
-        // end of the batch and not already covered by their own
-        // added/removed entry.
-        disturbed.sort_unstable_by_key(|&(seq, n)| (n, seq));
-        disturbed.dedup_by_key(|&mut (_, n)| n);
-        for (seq, raw) in disturbed {
-            let dead_or_readded = nodes
-                .get(&raw)
-                .map(|f| !f.alive || f.kind.is_some())
-                .unwrap_or(false);
-            if !dead_or_readded {
-                mutated.push((
-                    seq,
-                    GraphDelta::FlowTouched {
-                        node: NodeId::from_index(raw as usize),
-                    },
-                ));
-            }
-        }
-
-        for v in [
-            &mut arc_removed,
-            &mut node_removed,
-            &mut node_added,
-            &mut arc_added,
-            &mut mutated,
-        ] {
-            v.sort_by_key(|(seq, _)| *seq);
-        }
-        let mut deltas = Vec::with_capacity(
-            arc_removed.len()
-                + node_removed.len()
-                + node_added.len()
-                + arc_added.len()
-                + mutated.len(),
-        );
-        for v in [arc_removed, node_removed, node_added, arc_added, mutated] {
-            deltas.extend(v.into_iter().map(|(_, d)| d));
-        }
-        DeltaBatch { deltas, raw_len }
-    }
-
     /// The compacted deltas, in replay (dependency) order.
     pub fn deltas(&self) -> &[GraphDelta] {
         &self.deltas
@@ -606,7 +503,9 @@ impl DeltaBatch {
         self.deltas.is_empty()
     }
 
-    /// Number of raw change-log entries this batch was compacted from.
+    /// Number of effective graph mutations recorded into this batch, one
+    /// per node/arc addition or removal (incident arc removals included),
+    /// effective supply/cost/capacity change and flow-disturbance marker.
     pub fn raw_len(&self) -> usize {
         self.raw_len
     }
@@ -620,22 +519,6 @@ impl DeltaBatch {
             .iter()
             .filter(|d| matches!(d, GraphDelta::CostChanged { .. }))
             .count()
-    }
-
-    /// `true` when the whole batch is cost drift: every delta is a
-    /// [`GraphDelta::CostChanged`] (vacuously true for an empty, fully
-    /// quiescent batch). No structure moved, no capacity changed, no flow
-    /// was disturbed — the shape a pure clock-advance round produces when
-    /// convex-ladder costs drift under load.
-    ///
-    /// A re-price-only batch *may* still expose a reduced-cost violation
-    /// (a cost fall, or a rise on a flow-carrying arc); whether the round
-    /// is provably quiescent additionally needs the flow state — see
-    /// `DualSolver`'s re-price-only race short-circuit.
-    pub fn is_reprice_only(&self) -> bool {
-        self.deltas
-            .iter()
-            .all(|d| matches!(d, GraphDelta::CostChanged { .. }))
     }
 
     /// Replays the batch onto `graph`, which must be a snapshot of the
@@ -710,14 +593,14 @@ mod tests {
         let mut g = tracked();
         let t = g.add_node(NodeKind::Task { task: 1 }, 1);
         let s = g.add_node(NodeKind::Sink, -1);
-        g.take_changes();
+        g.take_deltas();
         let snapshot = g.clone();
 
         let ghost = g.add_node(NodeKind::Other { tag: 5 }, 0);
         let a = g.add_arc(t, ghost, 1, 3).unwrap();
         g.set_arc_cost(a, 9).unwrap();
         g.remove_node(ghost).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert!(batch.is_empty(), "round-trip must cancel: {:?}", batch);
 
         let mut replayed = snapshot;
@@ -732,13 +615,13 @@ mod tests {
         let t = g.add_node(NodeKind::Task { task: 1 }, 1);
         let s = g.add_node(NodeKind::Sink, -1);
         let a = g.add_arc(t, s, 5, 3).unwrap();
-        g.take_changes();
+        g.take_deltas();
 
         g.set_arc_cost(a, 10).unwrap();
         g.set_arc_cost(a, 4).unwrap();
         g.set_arc_capacity(a, 2).unwrap();
         g.set_arc_capacity(a, 7).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(batch.len(), 2);
         assert!(batch.deltas().contains(&GraphDelta::CostChanged {
             arc: a,
@@ -760,18 +643,18 @@ mod tests {
         let s = g.add_node(NodeKind::Sink, -1);
         let a = g.add_arc(t, s, 5, 3).unwrap();
         g.push_flow(a, 4);
-        g.take_changes();
+        g.take_deltas();
 
         g.set_arc_cost(a, 10).unwrap();
         g.set_arc_cost(a, 3).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert!(batch.is_empty(), "netted cost change must vanish");
 
         // Capacity 5 → 1 (spills 3 units) → 5 again: the capacity netted
         // out but the spilled flow is real damage and must be reported.
         g.set_arc_capacity(a, 1).unwrap();
         g.set_arc_capacity(a, 5).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(
             batch.deltas(),
             &[GraphDelta::CapacityChanged {
@@ -789,12 +672,12 @@ mod tests {
         let t = g.add_node(NodeKind::Task { task: 1 }, 1);
         let s = g.add_node(NodeKind::Sink, -1);
         let a = g.add_arc(t, s, 5, 3).unwrap();
-        g.take_changes();
+        g.take_deltas();
         let snapshot = g.clone();
 
         g.set_arc_cost(a, 10).unwrap();
         g.remove_arc(a).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(batch.len(), 1);
         assert!(matches!(
             batch.deltas()[0],
@@ -813,7 +696,7 @@ mod tests {
         let s = g.add_node(NodeKind::Sink, -1);
         let tm = g.add_arc(t, m, 1, 2).unwrap();
         g.add_arc(m, s, 1, 0).unwrap();
-        g.take_changes();
+        g.take_deltas();
         let snapshot = g.clone();
 
         // Remove the machine (freeing its node slot and both arc pairs),
@@ -824,7 +707,7 @@ mod tests {
         assert_eq!(m2, m, "slot reuse expected");
         let tm2 = g.add_arc(t, m2, 3, 8).unwrap();
         assert!(tm2 == tm || g.arc_alive(tm2));
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
 
         let mut replayed = snapshot;
         batch.replay(&mut replayed).unwrap();
@@ -835,12 +718,12 @@ mod tests {
     fn reincarnated_node_emits_remove_then_add() {
         let mut g = tracked();
         let m = g.add_node(NodeKind::Machine { machine: 0 }, 0);
-        g.take_changes();
+        g.take_deltas();
 
         g.remove_node(m).unwrap();
         let m2 = g.add_node(NodeKind::Machine { machine: 7 }, 0);
         assert_eq!(m2, m);
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(batch.len(), 2);
         assert!(matches!(batch.deltas()[0], GraphDelta::NodeRemoved { .. }));
         assert!(matches!(
@@ -887,11 +770,11 @@ mod tests {
         let s = g.add_node(NodeKind::Sink, -1);
         let a = g.add_arc(t, s, 5, 3).unwrap();
         g.push_flow(a, 4);
-        g.take_changes();
+        g.take_deltas();
 
         g.set_arc_capacity(a, 0).unwrap(); // spills all 4 units
         g.remove_arc(a).unwrap(); // removal-time flow is 0
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert!(matches!(
             batch.deltas()[0],
             GraphDelta::ArcRemoved { flow: 0, .. }
@@ -916,13 +799,13 @@ mod tests {
         let mut g = tracked();
         let x = g.add_node(NodeKind::Task { task: 1 }, 3);
         let s = g.add_node(NodeKind::Sink, -3);
-        g.take_changes();
+        g.take_deltas();
 
         g.set_supply(x, 7).unwrap();
         g.set_supply(s, -7).unwrap();
         g.remove_node(x).unwrap();
         g.set_supply(s, 0).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         // Net supply delta across the batch: (removed x: -3) + (sink
         // -3 → 0: +3) = 0 — balanced, as the graph genuinely is.
         let mut delta = 0i64;
@@ -941,10 +824,10 @@ mod tests {
     fn supply_changes_merge_end_to_end() {
         let mut g = tracked();
         let s = g.add_node(NodeKind::Sink, -3);
-        g.take_changes();
+        g.take_deltas();
         g.set_supply(s, -4).unwrap();
         g.set_supply(s, -6).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(
             batch.deltas(),
             &[GraphDelta::SupplyChanged {
@@ -955,17 +838,17 @@ mod tests {
         );
         g.set_supply(s, -2).unwrap();
         g.set_supply(s, -6).unwrap();
-        assert!(DeltaBatch::compact(g.take_changes()).is_empty());
+        assert!(g.take_deltas().is_empty());
     }
 
     #[test]
     fn new_node_supply_folds_into_added() {
         let mut g = tracked();
         g.add_node(NodeKind::Sink, 0);
-        g.take_changes();
+        g.take_deltas();
         let t = g.add_node(NodeKind::Task { task: 3 }, 1);
         g.set_supply(t, 2).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(
             batch.deltas(),
             &[GraphDelta::NodeAdded {
@@ -989,7 +872,7 @@ mod tests {
                 g.add_arc(m, sink, 2, 0).unwrap();
                 machines.push(m);
             }
-            g.take_changes();
+            g.take_deltas();
             for round in 0..10 {
                 let snapshot = g.clone();
                 for _ in 0..(1 + rng.below(6)) {
@@ -1036,7 +919,7 @@ mod tests {
                         }
                     }
                 }
-                let batch = DeltaBatch::compact(g.take_changes());
+                let batch = g.take_deltas();
                 let mut replayed = snapshot;
                 batch
                     .replay(&mut replayed)

@@ -7,7 +7,7 @@
 //! arcs of both directions, so a single slice walk visits every residual arc
 //! out of a node.
 
-use crate::changes::GraphChange;
+use crate::delta::{ArcState, DeltaBatch, DeltaRecorder};
 use crate::ids::{ArcId, NodeId};
 use crate::node::NodeKind;
 
@@ -72,7 +72,7 @@ pub struct FlowGraph {
     alive_nodes: usize,
     alive_arc_pairs: usize,
     track_changes: bool,
-    changes: Vec<GraphChange>,
+    recorder: DeltaRecorder,
 }
 
 /// Errors returned by graph mutations.
@@ -124,12 +124,11 @@ impl FlowGraph {
         }
     }
 
-    /// Enables or disables the change log consumed by incremental solvers.
+    /// Enables or disables recording of the change feed consumed by
+    /// incremental solvers. Turning it off suspends recording and keeps
+    /// the pending batch; mutations made meanwhile are not recorded.
     pub fn set_change_tracking(&mut self, on: bool) {
         self.track_changes = on;
-        if !on {
-            self.changes.clear();
-        }
     }
 
     /// Returns `true` if mutations are being recorded.
@@ -137,20 +136,27 @@ impl FlowGraph {
         self.track_changes
     }
 
-    /// Drains and returns the recorded changes since the last call.
-    pub fn take_changes(&mut self) -> Vec<GraphChange> {
-        std::mem::take(&mut self.changes)
-    }
-
-    /// Returns the recorded changes without draining them.
-    pub fn pending_changes(&self) -> &[GraphChange] {
-        &self.changes
+    /// Emits the compacted batch of changes recorded since the last call
+    /// and empties the recorder (see [`crate::delta`] for the rules).
+    pub fn take_deltas(&mut self) -> DeltaBatch {
+        std::mem::take(&mut self.recorder).finish(self)
     }
 
     #[inline]
-    fn record(&mut self, change: GraphChange) {
+    fn record(&mut self, f: impl FnOnce(&mut DeltaRecorder)) {
         if self.track_changes {
-            self.changes.push(change);
+            f(&mut self.recorder);
+        }
+    }
+
+    /// The recordable state of a live arc pair (forward id).
+    fn arc_state(&self, fwd: ArcId) -> ArcState {
+        let a = &self.arcs[fwd.index()];
+        ArcState {
+            src: a.src,
+            dst: a.dst,
+            capacity: a.capacity,
+            cost: a.cost,
         }
     }
 
@@ -182,11 +188,7 @@ impl FlowGraph {
             id
         };
         self.alive_nodes += 1;
-        self.record(GraphChange::AddNode {
-            node: id,
-            kind,
-            supply,
-        });
+        self.record(|r| r.node_added(id));
         id
     }
 
@@ -194,7 +196,7 @@ impl FlowGraph {
     ///
     /// Returns the list of removed arc pairs (forward ids) so callers such as
     /// the incremental solvers can account for disrupted flow. The incident
-    /// arc removals are recorded in the change log *before* the node removal.
+    /// arc removals are recorded *before* the node removal.
     pub fn remove_node(&mut self, node: NodeId) -> Result<Vec<ArcId>, GraphError> {
         self.check_node(node)?;
         let incident: Vec<ArcId> = self.adj[node.index()].clone();
@@ -212,12 +214,12 @@ impl FlowGraph {
         slot.supply = 0;
         self.alive_nodes -= 1;
         self.free_nodes.push(node);
-        self.record(GraphChange::RemoveNode { node, supply });
+        self.record(|r| r.node_removed(node, supply));
         Ok(removed)
     }
 
     /// Revives a node in an exact slot — the id-faithful insertion used by
-    /// change-log replay ([`crate::delta::DeltaBatch::replay`]): unlike
+    /// delta replay ([`crate::delta::DeltaBatch::replay`]): unlike
     /// [`add_node`](Self::add_node), which allocates from the free list,
     /// this places the node at `node` regardless of allocation history, so
     /// a replayed snapshot reproduces the live graph's ids exactly.
@@ -256,7 +258,7 @@ impl FlowGraph {
         };
         self.adj[node.index()].clear();
         self.alive_nodes += 1;
-        self.record(GraphChange::AddNode { node, kind, supply });
+        self.record(|r| r.node_added(node));
         Ok(())
     }
 
@@ -266,11 +268,7 @@ impl FlowGraph {
         let old = self.nodes[node.index()].supply;
         if old != supply {
             self.nodes[node.index()].supply = supply;
-            self.record(GraphChange::SupplyChange {
-                node,
-                old,
-                new: supply,
-            });
+            self.record(|r| r.supply_changed(node, old));
         }
         Ok(())
     }
@@ -285,13 +283,6 @@ impl FlowGraph {
     #[inline]
     pub fn kind(&self, node: NodeId) -> NodeKind {
         self.nodes[node.index()].kind
-    }
-
-    /// Replaces the kind of a node (used by policies when repurposing slots).
-    pub fn set_kind(&mut self, node: NodeId, kind: NodeKind) -> Result<(), GraphError> {
-        self.check_node(node)?;
-        self.nodes[node.index()].kind = kind;
-        Ok(())
     }
 
     /// Returns `true` if the node id refers to a live node.
@@ -395,18 +386,12 @@ impl FlowGraph {
         self.adj[src.index()].push(fwd);
         self.adj[dst.index()].push(fwd.sister());
         self.alive_arc_pairs += 1;
-        self.record(GraphChange::AddArc {
-            arc: fwd,
-            src,
-            dst,
-            capacity,
-            cost,
-        });
+        self.record(|r| r.arc_added(fwd));
         Ok(fwd)
     }
 
     /// Revives an arc pair in an exact slot — the id-faithful counterpart
-    /// of [`restore_node`](Self::restore_node) for change-log replay. The
+    /// of [`restore_node`](Self::restore_node) for delta replay. The
     /// new pair carries no flow.
     ///
     /// Fails with [`GraphError::OccupiedArc`] if the pair's forward slot is
@@ -470,13 +455,7 @@ impl FlowGraph {
         self.adj[src.index()].push(fwd);
         self.adj[dst.index()].push(fwd.sister());
         self.alive_arc_pairs += 1;
-        self.record(GraphChange::AddArc {
-            arc: fwd,
-            src,
-            dst,
-            capacity,
-            cost,
-        });
+        self.record(|r| r.arc_added(fwd));
         Ok(())
     }
 
@@ -484,24 +463,14 @@ impl FlowGraph {
     pub fn remove_arc(&mut self, arc: ArcId) -> Result<(), GraphError> {
         let fwd = arc.forward();
         self.check_arc(fwd)?;
-        let (src, dst, capacity, cost, flow) = {
-            let a = &self.arcs[fwd.index()];
-            (a.src, a.dst, a.capacity, a.cost, self.flow(fwd))
-        };
+        let (state, flow) = (self.arc_state(fwd), self.flow(fwd));
         self.arcs[fwd.index()].alive = false;
         self.arcs[fwd.index() + 1].alive = false;
-        self.detach(src, fwd);
-        self.detach(dst, fwd.sister());
+        self.detach(state.src, fwd);
+        self.detach(state.dst, fwd.sister());
         self.alive_arc_pairs -= 1;
         self.free_arc_pairs.push(fwd.0);
-        self.record(GraphChange::RemoveArc {
-            arc: fwd,
-            src,
-            dst,
-            capacity,
-            cost,
-            flow,
-        });
+        self.record(|r| r.arc_removed(fwd, state, flow));
         Ok(())
     }
 
@@ -516,15 +485,11 @@ impl FlowGraph {
     pub fn set_arc_cost(&mut self, arc: ArcId, cost: i64) -> Result<(), GraphError> {
         let fwd = arc.forward();
         self.check_arc(fwd)?;
-        let old = self.arcs[fwd.index()].cost;
-        if old != cost {
+        let before = self.arc_state(fwd);
+        if before.cost != cost {
             self.arcs[fwd.index()].cost = cost;
             self.arcs[fwd.index() + 1].cost = -cost;
-            self.record(GraphChange::CostChange {
-                arc: fwd,
-                old,
-                new: cost,
-            });
+            self.record(|r| r.arc_changed(fwd, before, 0));
         }
         Ok(())
     }
@@ -541,8 +506,8 @@ impl FlowGraph {
         if capacity < 0 {
             return Err(GraphError::NegativeCapacity(capacity));
         }
-        let old = self.arcs[fwd.index()].capacity;
-        if old == capacity {
+        let before = self.arc_state(fwd);
+        if before.capacity == capacity {
             return Ok(());
         }
         let flow = self.flow(fwd);
@@ -551,12 +516,7 @@ impl FlowGraph {
         self.arcs[fwd.index()].capacity = capacity;
         self.arcs[fwd.index()].rescap = capacity - new_flow;
         self.arcs[fwd.index() + 1].rescap = new_flow;
-        self.record(GraphChange::CapacityChange {
-            arc: fwd,
-            old,
-            new: capacity,
-            flow_spilled: spilled,
-        });
+        self.record(|r| r.arc_changed(fwd, before, spilled));
         Ok(())
     }
 
@@ -650,12 +610,13 @@ impl FlowGraph {
         self.arcs[arc.index() ^ 1].rescap += delta;
     }
 
-    /// Notes in the change log that flow was moved at `node` outside a
-    /// solver run (e.g. a §5.3.2 drain terminated here), so incremental
-    /// solvers re-derive its excess. No-op when tracking is off.
+    /// Records that flow was moved at `node` outside a solver run (e.g. a
+    /// §5.3.2 drain terminated here), so incremental solvers re-derive its
+    /// excess. No-op when tracking is off.
     pub fn note_flow_disturbance(&mut self, node: NodeId) {
         if self.node_alive(node) {
-            self.record(GraphChange::FlowDisturbed { node });
+            let supply = self.nodes[node.index()].supply;
+            self.record(|r| r.flow_disturbed(node, supply));
         }
     }
 
@@ -881,9 +842,9 @@ mod tests {
         let a = g.add_arc(t, s, 1, 2).unwrap();
         g.set_arc_cost(a, 3).unwrap();
         g.set_supply(t, 0).unwrap();
-        let changes = g.take_changes();
-        assert_eq!(changes.len(), 5);
-        assert!(g.take_changes().is_empty());
+        let batch = g.take_deltas();
+        assert_eq!(batch.raw_len(), 5);
+        assert_eq!(g.take_deltas().raw_len(), 0);
     }
 
     #[test]
@@ -893,11 +854,11 @@ mod tests {
         let t = g.add_node(NodeKind::Task { task: 0 }, 1);
         let s = g.add_node(NodeKind::Sink, -1);
         let a = g.add_arc(t, s, 1, 2).unwrap();
-        g.take_changes();
+        g.take_deltas();
         g.set_arc_cost(a, 2).unwrap();
         g.set_supply(t, 1).unwrap();
         g.set_arc_capacity(a, 1).unwrap();
-        assert!(g.take_changes().is_empty());
+        assert_eq!(g.take_deltas().raw_len(), 0);
     }
 
     #[test]

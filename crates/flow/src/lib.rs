@@ -8,13 +8,14 @@
 //! - [`FlowGraph`]: a mutable residual-network representation designed for
 //!   min-cost max-flow solvers (paired forward/reverse arcs, flat arenas,
 //!   slot reuse for removed nodes/arcs);
-//! - [`changes::GraphChange`]: the raw mutation log recorded by a tracked
-//!   graph (§5.2), and the Table 3 analysis of which arc changes require
+//! - [`delta::DeltaBatch`]: the compacted, typed change feed (§5.2) a
+//!   tracked graph records as it mutates and hands to incremental solvers
+//!   once per scheduling round via [`FlowGraph::take_deltas`] —
+//!   add-then-remove pairs cancel, repeated re-pricings merge, and the
+//!   batch replays exactly onto a snapshot (see the [`delta`] module docs
+//!   for the contract);
+//! - [`changes`]: the Table 3 analysis of which arc changes require
 //!   reoptimization;
-//! - [`delta::DeltaBatch`]: the *compacted*, typed change feed handed to
-//!   incremental solvers once per scheduling round — add-then-remove pairs
-//!   cancel, repeated re-pricings merge, and the batch replays exactly
-//!   onto a snapshot (see the [`delta`] module docs for the contract);
 //! - [`SchedulingGraphBuilder`]: ergonomic construction of scheduling-shaped
 //!   networks (tasks, machines, aggregators, unscheduled aggregators, sink);
 //! - DIMACS min-cost-flow import/export ([`dimacs`]);
@@ -53,7 +54,7 @@ pub mod testgen;
 pub mod validate;
 
 pub use builder::SchedulingGraphBuilder;
-pub use changes::{ArcChangeKind, GraphChange, ReoptEffect};
+pub use changes::{ArcChangeKind, ReoptEffect};
 pub use delta::{DeltaBatch, GraphDelta};
 pub use graph::{FlowGraph, GraphError};
 pub use ids::{ArcId, NodeId};

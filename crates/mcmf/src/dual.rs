@@ -287,8 +287,8 @@ fn outcome(
 /// solver reaches the same conclusion from its prices; this check is the
 /// cheap, price-free sufficient condition.)
 fn reprice_only_quiescent(graph: &FlowGraph, batch: &DeltaBatch) -> bool {
-    // The `_ => false` arm is `DeltaBatch::is_reprice_only` folded into
-    // the single pass: any structural/capacity/flow delta disqualifies.
+    // The `_ => false` arm: any structural/capacity/flow delta
+    // disqualifies.
     batch.deltas().iter().all(|d| match *d {
         firmament_flow::delta::GraphDelta::CostChanged { arc, old, new } => {
             new >= old && graph.arc_alive(arc) && graph.flow(arc) == 0
@@ -401,8 +401,8 @@ mod tests {
             }
         }
         assert!(bumped > 0);
-        let batch = DeltaBatch::compact(inst.graph.take_changes());
-        assert!(batch.is_reprice_only());
+        let batch = inst.graph.take_deltas();
+        assert_eq!(batch.cost_changes(), batch.len(), "pure re-price batch");
         let before = inst.graph.objective();
         let out = solver
             .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
@@ -458,8 +458,12 @@ mod tests {
             })
             .unwrap();
         inst.graph.set_arc_cost(a, 0).unwrap();
-        let batch = DeltaBatch::compact(inst.graph.take_changes());
-        assert!(batch.is_reprice_only(), "still a pure re-price batch");
+        let batch = inst.graph.take_deltas();
+        assert_eq!(
+            batch.cost_changes(),
+            batch.len(),
+            "still a pure re-price batch"
+        );
         let out = solver
             .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap();

@@ -876,7 +876,7 @@ mod tests {
             inst.graph.set_supply(inst.sink, d + 1).unwrap();
             grow_unscheduled_capacity(&mut inst, -1);
 
-            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            let batch = inst.graph.take_deltas();
             assert!(!batch.is_empty());
             let warm = inc
                 .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
@@ -954,7 +954,7 @@ mod tests {
         inst.graph.set_supply(inst.sink, d + 1).unwrap();
         grow_unscheduled_capacity(&mut inst, -1);
 
-        let batch = DeltaBatch::compact(inst.graph.take_changes());
+        let batch = inst.graph.take_deltas();
         let warm = inc
             .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap();
@@ -1033,7 +1033,7 @@ mod tests {
                 inst.graph.set_supply(inst.sink, d - 1).unwrap();
                 grow_unscheduled_capacity(&mut inst, 1);
             }
-            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            let batch = inst.graph.take_deltas();
 
             let mut scratch_graph = inst.graph.clone();
             let scratch =
@@ -1107,7 +1107,7 @@ mod tests {
                 inst.graph.set_supply(inst.sink, d + 1).unwrap();
                 grow_unscheduled_capacity(&mut inst, -1);
             }
-            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            let batch = inst.graph.take_deltas();
 
             let mut scratch_graph = inst.graph.clone();
             let scratch =
@@ -1200,7 +1200,7 @@ mod tests {
         let d = inst.graph.supply(inst.sink);
         inst.graph.set_supply(inst.sink, d - 1).unwrap();
         grow_unscheduled_capacity(&mut inst, 1);
-        let batch = DeltaBatch::compact(inst.graph.take_changes());
+        let batch = inst.graph.take_deltas();
         inc.solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap();
         assert!(is_optimal(&inst.graph));
@@ -1250,7 +1250,7 @@ mod tests {
             }
         }
         assert!(bumped > 0, "instance must have flowless arcs");
-        let batch = DeltaBatch::compact(inst.graph.take_changes());
+        let batch = inst.graph.take_deltas();
         let before = inst.graph.objective();
         let sol = inc
             .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())

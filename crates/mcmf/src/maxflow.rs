@@ -194,4 +194,42 @@ mod tests {
         assert_eq!(inst.graph.arc_count(), arcs);
         assert_eq!(inst.graph.objective(), 0, "flow reset");
     }
+
+    /// Pausing tracking around the helper super-source/sink suspends
+    /// recording without dropping the pending batch: the batch taken
+    /// after `is_feasible` or `cycle_canceling::solve` equals the batch of
+    /// a graph that never called them.
+    #[test]
+    fn helper_nodes_keep_the_pending_batch() {
+        use crate::common::SolveOptions;
+        for seed in 0..4 {
+            let mut inst = scheduling_instance(seed, &InstanceSpec::default());
+            let g = &mut inst.graph;
+            g.set_change_tracking(true);
+            // Two tasks leave and one arrives, so the helpers reuse slots
+            // the batch freed; one surviving arc is re-priced.
+            g.remove_node(inst.tasks[0]).unwrap();
+            g.remove_node(inst.tasks[1]).unwrap();
+            let t = g.add_node(NodeKind::Task { task: 999 }, 1);
+            g.add_arc(t, inst.machines[0], 1, 3).unwrap();
+            g.add_arc(t, inst.unscheduled, 1, 150).unwrap();
+            let d = g.supply(inst.sink);
+            g.set_supply(inst.sink, d + 1).unwrap();
+            let a = g.adj(inst.tasks[2])[0];
+            g.set_arc_cost(a, g.cost(a) + 1).unwrap();
+
+            let mut checked = g.clone();
+            assert!(is_feasible(&mut checked), "seed {seed}");
+            let mut solved = g.clone();
+            crate::cycle_canceling::solve(&mut solved, &SolveOptions::unlimited()).unwrap();
+            let expected = g.take_deltas();
+            assert!(!expected.is_empty(), "seed {seed}");
+            assert_eq!(checked.take_deltas(), expected, "is_feasible, seed {seed}");
+            assert_eq!(
+                solved.take_deltas(),
+                expected,
+                "cycle canceling, seed {seed}"
+            );
+        }
+    }
 }

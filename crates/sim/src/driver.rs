@@ -123,10 +123,10 @@ pub fn run_flow_sim<C: CostModel>(config: &SimConfig, mut firmament: Firmament<C
             .expect("machine registration");
     }
     let mut solver_busy = false;
-    let mut pending_changes = sim.bootstrap(|state, ev| {
+    let mut cluster_changed = sim.bootstrap(|state, ev| {
         firmament.handle_event(state, ev).expect("policy event");
     });
-    if pending_changes {
+    if cluster_changed {
         // Schedule the warmup workload immediately at t = 0.
         let outcome = firmament.schedule(&sim.state).expect("solver");
         let runtime_s = outcome.algorithm_runtime.as_secs_f64() * sim.runtime_scale;
@@ -140,7 +140,7 @@ pub fn run_flow_sim<C: CostModel>(config: &SimConfig, mut firmament: Firmament<C
             },
         );
         solver_busy = true;
-        pending_changes = false;
+        cluster_changed = false;
     }
 
     while let Some((now, kind)) = sim.pop() {
@@ -149,27 +149,27 @@ pub fn run_flow_sim<C: CostModel>(config: &SimConfig, mut firmament: Firmament<C
                 sim.apply_arrival(&a, |state, ev| {
                     firmament.handle_event(state, ev).expect("policy event");
                 });
-                pending_changes = true;
+                cluster_changed = true;
             }
             EventKind::Completion { task, placed_at } => {
                 if sim.complete_if_current(task, placed_at, |state, ev| {
                     firmament.handle_event(state, ev).expect("policy event");
                 }) {
-                    pending_changes = true;
+                    cluster_changed = true;
                 }
             }
             EventKind::MachineFailure => {
                 if sim.fail_random_machine(|state, ev| {
                     firmament.handle_event(state, ev).expect("policy event");
                 }) {
-                    pending_changes = true;
+                    cluster_changed = true;
                 }
             }
             EventKind::MachineRepair { machine } => {
                 sim.repair_machine(machine, |state, ev| {
                     firmament.handle_event(state, ev).expect("policy event");
                 });
-                pending_changes = true;
+                cluster_changed = true;
             }
             EventKind::SolverDone {
                 actions,
@@ -191,7 +191,7 @@ pub fn run_flow_sim<C: CostModel>(config: &SimConfig, mut firmament: Firmament<C
                 });
             }
         }
-        if pending_changes && !solver_busy && sim.within_horizon(now) {
+        if cluster_changed && !solver_busy && sim.within_horizon(now) {
             // Start the next solver run on the current snapshot.
             let outcome = firmament.schedule(&sim.state).expect("solver");
             let runtime_s = outcome.algorithm_runtime.as_secs_f64() * sim.runtime_scale;
@@ -205,7 +205,7 @@ pub fn run_flow_sim<C: CostModel>(config: &SimConfig, mut firmament: Firmament<C
                 },
             );
             solver_busy = true;
-            pending_changes = false;
+            cluster_changed = false;
         }
     }
     sim.finish()

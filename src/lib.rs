@@ -179,8 +179,8 @@
 //! against canonicalized exact optima).
 //!
 //! Also in 0.5: **re-price-only rounds skip the solver race.** A round
-//! whose whole `DeltaBatch` is `CostChanged` entries
-//! ([`flow::delta::DeltaBatch::is_reprice_only`]) with every change a
+//! whose whole `DeltaBatch` is
+//! [`CostChanged`](flow::delta::GraphDelta::CostChanged) entries with every change a
 //! rise on a flowless arc is proven quiescent; the dual executor then
 //! runs the warm cost-scaling path alone (O(Δ), no relaxation thread, no
 //! graph clone) and records the skip on
@@ -206,6 +206,24 @@
 //! The dual race no longer has a coordinator thread polling the racers:
 //! cost scaling runs on the caller's thread, relaxation on one spawned
 //! thread, and whichever returns a solution first cancels the other.
+//!
+//! # One change representation (0.7)
+//!
+//! The graph no longer keeps a raw mutation log for a per-round
+//! compaction pass: a tracked [`flow::FlowGraph`] folds each mutation
+//! into its pending [`flow::delta::DeltaBatch`] as it happens, under the
+//! same cancel/merge/absorb rules and emission order.
+//!
+//! | pre-0.7 | 0.7 |
+//! |---------|-----|
+//! | `DeltaBatch::compact(g.take_changes())` | [`g.take_deltas()`](flow::FlowGraph::take_deltas) |
+//! | `batch.is_reprice_only()` | `batch.cost_changes() == batch.len()` |
+//!
+//! Removed: the raw `GraphChange` enum, `FlowGraph::pending_changes`
+//! (`DeltaBatch::raw_len` still counts the recorded mutations) and
+//! `FlowGraph::set_kind`, which had no caller and bypassed recording.
+//! `set_change_tracking(false)` now pauses recording and keeps the
+//! pending batch instead of discarding it.
 //!
 //! [`policies::ArcBundle`]: policies::ArcBundle
 //! [`ArcBundle::cost`]: policies::ArcBundle::cost
