@@ -31,183 +31,18 @@
 //!
 //! This mirrors real Firmament's `FlowGraphManager`/`CostModelInterface`
 //! split, which is what makes new policies cheap: the node and slot
-//! bookkeeping below is written once instead of once per policy.
+//! bookkeeping below is written once instead of once per policy. Every
+//! declaration site — machine arrival, aggregate creation, the refresh's
+//! machine and EC→EC passes, waiting-task installs and re-prices — hands
+//! its bundle to one reconciler, `reconcile`, which alone decides when a
+//! bundle is live and whether a withdrawn one is parked or removed.
 
-use firmament_cluster::{ClusterEvent, ClusterState, JobId, MachineId, TaskId, Time};
+use firmament_cluster::{ClusterEvent, ClusterState, JobId, Machine, MachineId, TaskId, Time};
 use firmament_flow::delta::DeltaBatch;
 use firmament_flow::{ArcId, FlowGraph, NodeId, NodeKind};
 use firmament_mcmf::incremental::drain_task_flow;
-use firmament_policies::{AggregateId, ArcBundle, ArcSpec, ArcTarget, CostModel, PolicyError};
+use firmament_policies::{AggregateId, ArcBundle, ArcTarget, CostModel, PolicyError};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-
-/// Node bookkeeping shared by every policy: the sink, per-task and
-/// per-machine nodes, per-job unscheduled aggregators, and the arcs whose
-/// capacities track cluster quantities.
-#[derive(Debug, Default)]
-pub struct GraphBase {
-    /// The flow network.
-    pub graph: FlowGraph,
-    /// The sink node `S`.
-    pub sink: Option<NodeId>,
-    /// Task → node.
-    pub task_nodes: HashMap<TaskId, NodeId>,
-    /// Machine → node.
-    pub machine_nodes: HashMap<MachineId, NodeId>,
-    /// Machine → its arc to the sink (capacity = slots).
-    pub machine_sink_arcs: HashMap<MachineId, ArcId>,
-    /// Job → unscheduled aggregator `U_j`.
-    pub unsched_nodes: HashMap<JobId, NodeId>,
-    /// Job → the `U_j → S` arc (capacity = incomplete tasks of the job).
-    pub unsched_sink_arcs: HashMap<JobId, ArcId>,
-}
-
-impl GraphBase {
-    /// Creates an empty base with a sink node. Change tracking is enabled
-    /// from the start: the manager's graph records every mutation so each
-    /// round's [`DeltaBatch`] can be handed to the incremental solver.
-    pub fn new() -> Self {
-        let mut base = GraphBase::default();
-        base.graph.set_change_tracking(true);
-        let sink = base.graph.add_node(NodeKind::Sink, 0);
-        base.sink = Some(sink);
-        base
-    }
-
-    /// The sink node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`GraphBase::new`] created the sink.
-    pub fn sink(&self) -> NodeId {
-        self.sink.expect("GraphBase::new creates the sink")
-    }
-
-    /// Adds a machine node with a `slots`-capacity arc to the sink.
-    pub fn add_machine(&mut self, machine: MachineId, slots: i64) -> Result<NodeId, PolicyError> {
-        if self.machine_nodes.contains_key(&machine) {
-            return Err(PolicyError::DuplicateMachine(machine));
-        }
-        let n = self.graph.add_node(NodeKind::Machine { machine }, 0);
-        let arc = self.graph.add_arc(n, self.sink(), slots, 0)?;
-        self.machine_nodes.insert(machine, n);
-        self.machine_sink_arcs.insert(machine, arc);
-        Ok(n)
-    }
-
-    /// Removes a machine node and its arcs.
-    pub fn remove_machine(&mut self, machine: MachineId) -> Result<(), PolicyError> {
-        let n = self
-            .machine_nodes
-            .remove(&machine)
-            .ok_or(PolicyError::UnknownMachine(machine))?;
-        self.machine_sink_arcs.remove(&machine);
-        self.graph.remove_node(n)?;
-        Ok(())
-    }
-
-    /// Adds a task node with one unit of supply and an arc to its job's
-    /// unscheduled aggregator; grows the sink demand and the `U_j → S`
-    /// capacity accordingly.
-    pub fn add_task(
-        &mut self,
-        task: TaskId,
-        job: JobId,
-        unsched_cost: i64,
-    ) -> Result<NodeId, PolicyError> {
-        if self.task_nodes.contains_key(&task) {
-            return Err(PolicyError::DuplicateTask(task));
-        }
-        let n = self.graph.add_node(NodeKind::Task { task }, 1);
-        let u = self.ensure_unscheduled(job)?;
-        self.graph.add_arc(n, u, 1, unsched_cost)?;
-        self.task_nodes.insert(task, n);
-        let sink = self.sink();
-        let d = self.graph.supply(sink);
-        self.graph.set_supply(sink, d - 1)?;
-        let ua = self.unsched_sink_arcs[&job];
-        let cap = self.graph.capacity(ua);
-        self.graph.set_arc_capacity(ua, cap + 1)?;
-        Ok(n)
-    }
-
-    /// Removes a task node (after completion or failure), shrinking the sink
-    /// demand and the job's unscheduled capacity.
-    ///
-    /// The caller is responsible for draining the task's flow first when it
-    /// wants the efficient-task-removal heuristic (§5.3.2);
-    /// [`FlowGraphManager::apply_event`] does so for task completions.
-    pub fn remove_task(&mut self, task: TaskId, job: JobId) -> Result<(), PolicyError> {
-        let n = self
-            .task_nodes
-            .remove(&task)
-            .ok_or(PolicyError::UnknownTask(task))?;
-        self.graph.remove_node(n)?;
-        let sink = self.sink();
-        let d = self.graph.supply(sink);
-        self.graph.set_supply(sink, d + 1)?;
-        if let Some(&ua) = self.unsched_sink_arcs.get(&job) {
-            let cap = self.graph.capacity(ua);
-            self.graph.set_arc_capacity(ua, (cap - 1).max(0))?;
-        }
-        Ok(())
-    }
-
-    /// Returns (creating if needed) the unscheduled aggregator for a job.
-    pub fn ensure_unscheduled(&mut self, job: JobId) -> Result<NodeId, PolicyError> {
-        if let Some(&n) = self.unsched_nodes.get(&job) {
-            return Ok(n);
-        }
-        let n = self
-            .graph
-            .add_node(NodeKind::UnscheduledAggregator { job }, 0);
-        let arc = self.graph.add_arc(n, self.sink(), 0, 0)?;
-        self.unsched_nodes.insert(job, n);
-        self.unsched_sink_arcs.insert(job, arc);
-        Ok(n)
-    }
-
-    /// Node for a task, if present.
-    pub fn task_node(&self, task: TaskId) -> Option<NodeId> {
-        self.task_nodes.get(&task).copied()
-    }
-
-    /// Node for a machine, if present.
-    pub fn machine_node(&self, machine: MachineId) -> Option<NodeId> {
-        self.machine_nodes.get(&machine).copied()
-    }
-
-    /// Finds the first arc from `src` to `dst` if one exists (forward
-    /// direction). With multi-segment bundles there may be several
-    /// parallel arcs; this returns the earliest in adjacency order.
-    pub fn find_arc(&self, src: NodeId, dst: NodeId) -> Option<ArcId> {
-        self.graph
-            .adj(src)
-            .iter()
-            .copied()
-            .find(|&a| a.is_forward() && self.graph.dst(a) == dst)
-    }
-
-    /// Removes every outgoing forward arc of `node` except those whose
-    /// destination satisfies `keep`; used when a task transitions between
-    /// waiting and running arc sets.
-    pub fn retain_out_arcs(
-        &mut self,
-        node: NodeId,
-        keep: impl Fn(&FlowGraph, NodeId) -> bool,
-    ) -> Result<(), PolicyError> {
-        let to_remove: Vec<ArcId> = self
-            .graph
-            .adj(node)
-            .iter()
-            .copied()
-            .filter(|&a| a.is_forward() && !keep(&self.graph, self.graph.dst(a)))
-            .collect();
-        for a in to_remove {
-            self.graph.remove_arc(a)?;
-        }
-        Ok(())
-    }
-}
 
 /// Rejects bundles that break the convexity contract: segment costs must
 /// be non-decreasing, or the min-cost solver would fill expensive
@@ -219,59 +54,100 @@ fn validate_bundle(hook: &'static str, bundle: &ArcBundle) -> Result<(), PolicyE
     Ok(())
 }
 
-/// Synchronizes one bundle's slot vector with its newly declared
-/// segments, preserving per-segment slot identity:
+/// The model's aggregate → machine declaration, validated.
+fn declared_aggregate_arc<C: CostModel>(
+    model: &C,
+    state: &ClusterState,
+    agg: AggregateId,
+    machine: &Machine,
+) -> Result<Option<ArcBundle>, PolicyError> {
+    let bundle = model.aggregate_arc(state, agg, machine);
+    if let Some(b) = &bundle {
+        validate_bundle("aggregate_arc", b)?;
+    }
+    Ok(bundle)
+}
+
+/// Whether a declared bundle holds graph arcs. Static-structure models
+/// keep zero-capacity bundles materialized so a later refresh can revive
+/// them in place; dynamic models add and remove bundles as their
+/// capacity comes and goes.
+fn is_live(bundle: &ArcBundle, dynamic: bool) -> bool {
+    !(bundle.is_empty() || (dynamic && bundle.total_capacity() <= 0))
+}
+
+/// The bundle reconciler: brings the slots held for one `(src, dst)` pair
+/// in line with the model's declaration (`None` once the model stops
+/// declaring the pair), preserving per-segment slot identity. An empty
+/// `slots` holds nothing.
 ///
-/// - existing slots are re-priced in place (`CostChanged` /
-///   `CapacityChanged` deltas — never structural),
-/// - extra declared segments append new arcs,
-/// - slots beyond the declared length are parked at capacity 0 (static
-///   models, revivable) or removed (`dynamic`).
-fn sync_bundle(
+/// - Held slots covered by a live declaration are re-priced in place
+///   (`CostChanged` / `CapacityChanged` deltas — never structural).
+/// - Declared segments beyond the held slots append new arcs; from
+///   nothing held, this materializes the bundle.
+/// - Held slots beyond the live declaration — all of them once the
+///   bundle is withdrawn — are parked at capacity 0 (static models,
+///   revivable) or removed (`dynamic`).
+fn reconcile(
     graph: &mut FlowGraph,
     slots: &mut Vec<ArcId>,
     src: NodeId,
     dst: NodeId,
-    segments: &[ArcSpec],
+    declared: Option<&ArcBundle>,
     dynamic: bool,
 ) -> Result<(), PolicyError> {
+    let segments = match declared {
+        Some(bundle) if is_live(bundle, dynamic) => bundle.segments(),
+        _ => &[],
+    };
     let common = slots.len().min(segments.len());
-    for (slot, seg) in slots.iter().zip(segments).take(common) {
-        graph.set_arc_capacity(*slot, seg.capacity.max(0))?;
-        graph.set_arc_cost(*slot, seg.cost)?;
+    for (&slot, seg) in slots.iter().zip(segments) {
+        graph.set_arc_capacity(slot, seg.capacity.max(0))?;
+        graph.set_arc_cost(slot, seg.cost)?;
     }
-    if slots.len() > segments.len() {
-        if dynamic {
-            for &arc in &slots[segments.len()..] {
-                graph.remove_arc(arc)?;
-            }
-            slots.truncate(segments.len());
-        } else {
-            for &arc in &slots[segments.len()..] {
-                graph.set_arc_capacity(arc, 0)?;
-            }
+    if dynamic {
+        for &arc in &slots[common..] {
+            graph.remove_arc(arc)?;
+        }
+        slots.truncate(common);
+    } else {
+        for &arc in &slots[common..] {
+            graph.set_arc_capacity(arc, 0)?;
         }
     }
-    // Non-empty exactly when segments outnumber slots: append the rest.
     for seg in &segments[common..] {
-        let arc = graph.add_arc(src, dst, seg.capacity.max(0), seg.cost)?;
-        slots.push(arc);
+        slots.push(graph.add_arc(src, dst, seg.capacity.max(0), seg.cost)?);
     }
     Ok(())
 }
 
-/// Materializes a fresh slot vector for a bundle (one arc per segment).
-fn materialize_bundle(
+/// [`reconcile`] for a bundle kept in a slot map: the map holds an entry
+/// for `key` exactly while the bundle holds slots.
+fn reconcile_keyed(
     graph: &mut FlowGraph,
+    bundles: &mut BTreeMap<AggregateId, Vec<ArcId>>,
+    key: AggregateId,
     src: NodeId,
     dst: NodeId,
-    segments: &[ArcSpec],
-) -> Result<Vec<ArcId>, PolicyError> {
-    let mut slots = Vec::with_capacity(segments.len());
-    for seg in segments {
-        slots.push(graph.add_arc(src, dst, seg.capacity.max(0), seg.cost)?);
+    declared: Option<&ArcBundle>,
+    dynamic: bool,
+) -> Result<(), PolicyError> {
+    match bundles.get_mut(&key) {
+        Some(slots) => {
+            reconcile(graph, slots, src, dst, declared, dynamic)?;
+            if slots.is_empty() {
+                bundles.remove(&key);
+            }
+        }
+        None => {
+            let mut slots = Vec::new();
+            reconcile(graph, &mut slots, src, dst, declared, dynamic)?;
+            if !slots.is_empty() {
+                bundles.insert(key, slots);
+            }
+        }
     }
-    Ok(slots)
+    Ok(())
 }
 
 /// Counters describing what the two-pass refresh actually touched —
@@ -306,9 +182,25 @@ pub struct RefreshStats {
 /// state by querying a [`CostModel`] for the policy-specific numbers.
 ///
 /// See the [module documentation](self) for the division of labor.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FlowGraphManager {
-    base: GraphBase,
+    /// The flow network. Change tracking is on from the start, so each
+    /// round's [`DeltaBatch`] can be handed to the incremental solver.
+    graph: FlowGraph,
+    /// The sink node `S`.
+    sink: NodeId,
+    /// Task → its node and its `task → U_j` arc. The arc lives as long as
+    /// the task: `U_j` is only collected once its job has no task left in
+    /// the graph.
+    task_nodes: HashMap<TaskId, (NodeId, ArcId)>,
+    /// Machine → node.
+    machine_nodes: HashMap<MachineId, NodeId>,
+    /// Machine → its arc to the sink (capacity = slots).
+    machine_sink_arcs: HashMap<MachineId, ArcId>,
+    /// Job → unscheduled aggregator `U_j`.
+    unsched_nodes: HashMap<JobId, NodeId>,
+    /// Job → the `U_j → S` arc (capacity = incomplete tasks of the job).
+    unsched_sink_arcs: HashMap<JobId, ArcId>,
     /// Aggregate id → node.
     agg_nodes: HashMap<AggregateId, NodeId>,
     /// Machine → its aggregate bundles (aggregate → per-segment arc
@@ -361,39 +253,61 @@ pub struct FlowGraphManager {
     stats: RefreshStats,
 }
 
+impl Default for FlowGraphManager {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FlowGraphManager {
     /// Creates a manager with an empty network (sink only).
     pub fn new() -> Self {
+        let mut graph = FlowGraph::default();
+        graph.set_change_tracking(true);
+        let sink = graph.add_node(NodeKind::Sink, 0);
         FlowGraphManager {
-            base: GraphBase::new(),
-            ..Default::default()
+            graph,
+            sink,
+            task_nodes: HashMap::new(),
+            machine_nodes: HashMap::new(),
+            machine_sink_arcs: HashMap::new(),
+            unsched_nodes: HashMap::new(),
+            unsched_sink_arcs: HashMap::new(),
+            agg_nodes: HashMap::new(),
+            machine_agg_arcs: HashMap::new(),
+            agg_agg_arcs: HashMap::new(),
+            task_slots: HashMap::new(),
+            running_on: HashMap::new(),
+            dirty_machines: HashSet::new(),
+            dirty_tasks: HashSet::new(),
+            dirty_aggs: HashSet::new(),
+            deferred_gangs: Vec::new(),
+            live_job_tasks: HashMap::new(),
+            last_refresh_now: None,
+            hierarchy_declared: false,
+            stats: RefreshStats::default(),
         }
     }
 
     /// The flow network (read-only; solvers clone or take it via the
     /// scheduler core).
     pub fn graph(&self) -> &FlowGraph {
-        &self.base.graph
-    }
-
-    /// The shared node bookkeeping.
-    pub fn base(&self) -> &GraphBase {
-        &self.base
+        &self.graph
     }
 
     /// The sink node.
     pub fn sink(&self) -> NodeId {
-        self.base.sink()
+        self.sink
     }
 
     /// Node for a task, if present.
     pub fn task_node(&self, task: TaskId) -> Option<NodeId> {
-        self.base.task_node(task)
+        self.task_nodes.get(&task).map(|&(node, _)| node)
     }
 
     /// Node for a machine, if present.
     pub fn machine_node(&self, machine: MachineId) -> Option<NodeId> {
-        self.base.machine_node(machine)
+        self.machine_nodes.get(&machine).copied()
     }
 
     /// Node for a policy-defined aggregate, if it has been materialized.
@@ -418,20 +332,6 @@ impl FlowGraphManager {
             .get(&machine)
             .and_then(|m| m.get(&aggregate))
             .map(|v| v.as_slice())
-    }
-
-    /// The first-segment EC→EC arc from one aggregate to another, if
-    /// present (see [`aggregate_to_aggregate_slots`] for the whole
-    /// bundle).
-    ///
-    /// [`aggregate_to_aggregate_slots`]: Self::aggregate_to_aggregate_slots
-    pub fn aggregate_to_aggregate_arc(
-        &self,
-        parent: AggregateId,
-        child: AggregateId,
-    ) -> Option<ArcId> {
-        self.aggregate_to_aggregate_slots(parent, child)
-            .and_then(|s| s.first().copied())
     }
 
     /// The per-segment arc slots of an EC→EC bundle, if present.
@@ -476,7 +376,7 @@ impl FlowGraphManager {
     /// before [`take_graph`](Self::take_graph), so the batch covers
     /// exactly one handoff window.
     pub fn take_deltas(&mut self) -> DeltaBatch {
-        self.base.graph.take_deltas()
+        self.graph.take_deltas()
     }
 
     /// Takes the graph out of the manager for an owned (zero-copy) solve.
@@ -484,7 +384,7 @@ impl FlowGraphManager {
     /// preserves node/arc ids — via [`adopt_graph`](Self::adopt_graph)
     /// before the next event or refresh.
     pub fn take_graph(&mut self) -> FlowGraph {
-        std::mem::take(&mut self.base.graph)
+        std::mem::take(&mut self.graph)
     }
 
     /// Installs `graph` as the authoritative network. `graph` must be the
@@ -492,7 +392,7 @@ impl FlowGraphManager {
     /// output derived from it (ids preserved); adopting the winning flow
     /// lets the next incremental solve warm-start from it.
     pub fn adopt_graph(&mut self, graph: FlowGraph) {
-        self.base.graph = graph;
+        self.graph = graph;
     }
 
     /// Applies one cluster event to the flow network, querying `model` for
@@ -507,27 +407,32 @@ impl FlowGraphManager {
         match event {
             ClusterEvent::Tick { .. } => {}
             ClusterEvent::MachineAdded { machine } => {
-                let n = self.base.add_machine(machine.id, machine.slots as i64)?;
+                if self.machine_nodes.contains_key(&machine.id) {
+                    return Err(PolicyError::DuplicateMachine(machine.id));
+                }
+                let kind = NodeKind::Machine {
+                    machine: machine.id,
+                };
+                let mn = self.graph.add_node(kind, 0);
+                let sink_arc = self.graph.add_arc(mn, self.sink, machine.slots as i64, 0)?;
+                self.machine_nodes.insert(machine.id, mn);
+                self.machine_sink_arcs.insert(machine.id, sink_arc);
                 let dynamic = model.dynamic_aggregate_arcs();
                 let mut aggs: Vec<AggregateId> = self.agg_nodes.keys().copied().collect();
                 aggs.sort_unstable();
+                let bundles = self.machine_agg_arcs.entry(machine.id).or_default();
                 for agg in aggs {
+                    let declared = declared_aggregate_arc(model, state, agg, machine)?;
                     let an = self.agg_nodes[&agg];
-                    if let Some(bundle) = model.aggregate_arc(state, agg, machine) {
-                        validate_bundle("aggregate_arc", &bundle)?;
-                        // Static-structure models keep zero-capacity
-                        // slots alive so later refreshes can revive them;
-                        // dynamic models add/remove bundles each round.
-                        if bundle.is_empty() || (dynamic && bundle.total_capacity() <= 0) {
-                            continue;
-                        }
-                        let slots =
-                            materialize_bundle(&mut self.base.graph, an, n, bundle.segments())?;
-                        self.machine_agg_arcs
-                            .entry(machine.id)
-                            .or_default()
-                            .insert(agg, slots);
-                    }
+                    reconcile_keyed(
+                        &mut self.graph,
+                        bundles,
+                        agg,
+                        an,
+                        mn,
+                        declared.as_ref(),
+                        dynamic,
+                    )?;
                 }
                 self.dirty_machines.insert(machine.id);
                 // Machine-set changes can alter EC→EC capacities (which
@@ -561,7 +466,12 @@ impl FlowGraphManager {
                 }
                 self.running_on.retain(|_, m| *m != *machine);
                 self.dirty_machines.remove(machine);
-                self.base.remove_machine(*machine)?;
+                let mn = self
+                    .machine_nodes
+                    .remove(machine)
+                    .ok_or(PolicyError::UnknownMachine(*machine))?;
+                self.machine_sink_arcs.remove(machine);
+                self.graph.remove_node(mn)?;
                 // A machine failure invalidates waiting arc *sets*, not
                 // just those of the displaced tasks: block replicas died
                 // with the machine, so locality-driven preference arcs
@@ -573,11 +483,7 @@ impl FlowGraphManager {
             }
             ClusterEvent::JobSubmitted { job, tasks } => {
                 for task in tasks {
-                    self.base.add_task(
-                        task.id,
-                        job.id,
-                        model.task_unscheduled_cost(state, task),
-                    )?;
+                    self.add_task(task.id, job.id, model.task_unscheduled_cost(state, task))?;
                     self.add_waiting_arcs(model, state, task)?;
                     self.dirty_tasks.insert(task.id);
                     *self.live_job_tasks.entry(job.id).or_insert(0) += 1;
@@ -585,37 +491,32 @@ impl FlowGraphManager {
             }
             ClusterEvent::TaskPlaced { task, machine, .. } => {
                 let t = self
-                    .base
                     .task_node(*task)
                     .ok_or(PolicyError::UnknownTask(*task))?;
                 let m = self
-                    .base
                     .machine_node(*machine)
                     .ok_or(PolicyError::UnknownMachine(*machine))?;
                 let task_data = state
                     .tasks
                     .get(task)
                     .ok_or(PolicyError::UnknownTask(*task))?;
-                let u = self.base.ensure_unscheduled(task_data.job)?;
                 // Drain the task's old flow (which may route through
                 // aggregator chains) before rewiring its arcs: removing a
                 // flow-carrying waiting arc would strand stale flow on the
                 // aggregates below, unbalancing the warm start and pinning
                 // otherwise-dead aggregates past garbage collection.
-                drain_task_flow(&mut self.base.graph, t);
+                drain_task_flow(&mut self.graph, t);
                 // A running task keeps exactly two arcs: the zero-ish-cost
                 // arc to its machine and the preemption arc to U_j, so
                 // migrations always go through explicit preemption.
-                self.base.retain_out_arcs(t, move |_, dst| dst == u)?;
-                self.task_slots.remove(task);
+                self.strip_task_arcs(*task)?;
                 let cost = model.running_arc_cost(state, task_data, *machine);
-                self.base.graph.add_arc(t, m, 1, cost)?;
+                self.graph.add_arc(t, m, 1, cost)?;
                 self.running_on.insert(*task, *machine);
                 self.dirty_machines.insert(*machine);
             }
             ClusterEvent::TaskPreempted { task, .. } => {
                 let t = self
-                    .base
                     .task_node(*task)
                     .ok_or(PolicyError::UnknownTask(*task))?;
                 let task_data = state
@@ -623,13 +524,11 @@ impl FlowGraphManager {
                     .get(task)
                     .ok_or(PolicyError::UnknownTask(*task))?
                     .clone();
-                let u = self.base.ensure_unscheduled(task_data.job)?;
                 // Drain before dropping the running arc, for the same
                 // reason as in `TaskPlaced`: its flow must not be stranded
                 // on the machine → sink arc.
-                drain_task_flow(&mut self.base.graph, t);
-                self.base.retain_out_arcs(t, move |_, dst| dst == u)?;
-                self.task_slots.remove(task);
+                drain_task_flow(&mut self.graph, t);
+                self.strip_task_arcs(*task)?;
                 self.add_waiting_arcs(model, state, &task_data)?;
                 if let Some(m) = self.running_on.remove(task) {
                     self.dirty_machines.insert(m);
@@ -640,15 +539,25 @@ impl FlowGraphManager {
                 // Efficient task removal (§5.3.2): drain the departing
                 // task's flow before deleting the node so the graph stays
                 // balanced for the incremental solver.
-                if let Some(node) = self.base.task_node(*task) {
-                    drain_task_flow(&mut self.base.graph, node);
+                if let Some(node) = self.task_node(*task) {
+                    drain_task_flow(&mut self.graph, node);
                 }
                 let job = state
                     .tasks
                     .get(task)
                     .ok_or(PolicyError::UnknownTask(*task))?
                     .job;
-                self.base.remove_task(*task, job)?;
+                let (tn, _) = self
+                    .task_nodes
+                    .remove(task)
+                    .ok_or(PolicyError::UnknownTask(*task))?;
+                self.graph.remove_node(tn)?;
+                let demand = self.graph.supply(self.sink);
+                self.graph.set_supply(self.sink, demand + 1)?;
+                if let Some(&ua) = self.unsched_sink_arcs.get(&job) {
+                    let cap = self.graph.capacity(ua);
+                    self.graph.set_arc_capacity(ua, (cap - 1).max(0))?;
+                }
                 self.task_slots.remove(task);
                 if let Some(n) = self.live_job_tasks.get_mut(&job) {
                     *n -= 1;
@@ -662,6 +571,59 @@ impl FlowGraphManager {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Adds a task node with one unit of supply and its arc to the job's
+    /// unscheduled aggregator `U_j` (created with its `U_j → S` arc on the
+    /// job's first task); grows the sink demand and the `U_j → S`
+    /// capacity accordingly.
+    fn add_task(&mut self, task: TaskId, job: JobId, unsched_cost: i64) -> Result<(), PolicyError> {
+        if self.task_nodes.contains_key(&task) {
+            return Err(PolicyError::DuplicateTask(task));
+        }
+        let tn = self.graph.add_node(NodeKind::Task { task }, 1);
+        let u = match self.unsched_nodes.get(&job) {
+            Some(&u) => u,
+            None => {
+                let u = self
+                    .graph
+                    .add_node(NodeKind::UnscheduledAggregator { job }, 0);
+                let ua = self.graph.add_arc(u, self.sink, 0, 0)?;
+                self.unsched_nodes.insert(job, u);
+                self.unsched_sink_arcs.insert(job, ua);
+                u
+            }
+        };
+        let unsched_arc = self.graph.add_arc(tn, u, 1, unsched_cost)?;
+        self.task_nodes.insert(task, (tn, unsched_arc));
+        let demand = self.graph.supply(self.sink);
+        self.graph.set_supply(self.sink, demand - 1)?;
+        let ua = self.unsched_sink_arcs[&job];
+        let cap = self.graph.capacity(ua);
+        self.graph.set_arc_capacity(ua, cap + 1)?;
+        Ok(())
+    }
+
+    /// Strips a task back to its `task → U_j` arc and forgets its waiting
+    /// slots — the first step of every re-wire (placement, preemption,
+    /// re-derivation of its waiting arcs).
+    fn strip_task_arcs(&mut self, task: TaskId) -> Result<(), PolicyError> {
+        let (tn, keep) = *self
+            .task_nodes
+            .get(&task)
+            .ok_or(PolicyError::UnknownTask(task))?;
+        let doomed: Vec<ArcId> = self
+            .graph
+            .adj(tn)
+            .iter()
+            .copied()
+            .filter(|&a| a.is_forward() && a != keep)
+            .collect();
+        for arc in doomed {
+            self.graph.remove_arc(arc)?;
+        }
+        self.task_slots.remove(&task);
         Ok(())
     }
 
@@ -706,7 +668,7 @@ impl FlowGraphManager {
             // Every task still in the graph: waiting tasks' unscheduled
             // arcs *and* running tasks' preemption arcs carry the
             // wait-scaled cost, and both drift with the clock.
-            self.base.task_nodes.keys().copied().collect()
+            self.task_nodes.keys().copied().collect()
         } else {
             self.dirty_tasks.iter().copied().collect()
         };
@@ -723,91 +685,37 @@ impl FlowGraphManager {
 
         // Pass 2: apply cost/capacity deltas for the dirty nodes only.
         // Static-structure models (the common case) re-sync exactly the
-        // bundles a dirty machine already has; dynamic models (Fig 6c)
-        // get the full (aggregate × machine) scan, since their arc *set*
-        // reacts to monitored state.
+        // bundles a dirty machine already holds; dynamic models (Fig 6c)
+        // get the full aggregate scan, since their arc *set* reacts to
+        // monitored state.
+        let mut all_aggs: Vec<AggregateId> = Vec::new();
         if dynamic {
-            let mut aggs: Vec<AggregateId> = self.agg_nodes.keys().copied().collect();
-            aggs.sort_unstable();
-            for &mid in &machines {
-                let machine = &state.machines[&mid];
-                let Some(mn) = self.base.machine_node(mid) else {
-                    continue;
-                };
-                for &agg in &aggs {
-                    // Validate before the capacity filter so a non-convex
-                    // declaration is rejected even while its capacity is
-                    // parked at ≤ 0, matching every other declaration
-                    // site (the bug is in the model, not the load).
-                    let bundle = model.aggregate_arc(state, agg, machine);
-                    if let Some(b) = &bundle {
-                        validate_bundle("aggregate_arc", b)?;
-                    }
-                    let bundle = bundle.filter(|b| !b.is_empty() && b.total_capacity() > 0);
-                    let arcs = self.machine_agg_arcs.entry(mid).or_default();
-                    match (arcs.get_mut(&agg), bundle) {
-                        (Some(slots), Some(b)) => {
-                            sync_bundle(
-                                &mut self.base.graph,
-                                slots,
-                                self.agg_nodes[&agg],
-                                mn,
-                                b.segments(),
-                                true,
-                            )?;
-                        }
-                        (Some(slots), None) => {
-                            for &arc in slots.iter() {
-                                self.base.graph.remove_arc(arc)?;
-                            }
-                            arcs.remove(&agg);
-                        }
-                        (None, Some(b)) => {
-                            let an = self.agg_nodes[&agg];
-                            let slots =
-                                materialize_bundle(&mut self.base.graph, an, mn, b.segments())?;
-                            arcs.insert(agg, slots);
-                        }
-                        (None, None) => {}
-                    }
-                }
-            }
-        } else {
-            for &mid in &machines {
-                let machine = &state.machines[&mid];
-                let Some(arcs) = self.machine_agg_arcs.get_mut(&mid) else {
-                    continue;
-                };
-                for (&agg, slots) in arcs.iter_mut() {
-                    let Some(&an) = self.agg_nodes.get(&agg) else {
-                        continue;
-                    };
-                    let Some(mn) = self.base.machine_nodes.get(&mid).copied() else {
-                        continue;
-                    };
-                    match model.aggregate_arc(state, agg, machine) {
-                        Some(bundle) => {
-                            validate_bundle("aggregate_arc", &bundle)?;
-                            sync_bundle(
-                                &mut self.base.graph,
-                                slots,
-                                an,
-                                mn,
-                                bundle.segments(),
-                                false,
-                            )?;
-                        }
-                        // A static-structure model withdrawing a bundle is
-                        // expressed as zero capacity on every slot,
-                        // keeping the arcs available for revival on a
-                        // later refresh.
-                        None => {
-                            for &arc in slots.iter() {
-                                self.base.graph.set_arc_capacity(arc, 0)?;
-                            }
-                        }
-                    }
-                }
+            all_aggs.extend(self.agg_nodes.keys().copied());
+            all_aggs.sort_unstable();
+        }
+        for &mid in &machines {
+            let machine = &state.machines[&mid];
+            let Some(&mn) = self.machine_nodes.get(&mid) else {
+                continue;
+            };
+            let bundles = self.machine_agg_arcs.entry(mid).or_default();
+            let aggs: Vec<AggregateId> = if dynamic {
+                all_aggs.clone()
+            } else {
+                bundles.keys().copied().collect()
+            };
+            for agg in aggs {
+                let declared = declared_aggregate_arc(model, state, agg, machine)?;
+                let an = self.agg_nodes[&agg];
+                reconcile_keyed(
+                    &mut self.graph,
+                    bundles,
+                    agg,
+                    an,
+                    mn,
+                    declared.as_ref(),
+                    dynamic,
+                )?;
             }
         }
         let reprice_tasks = model.dynamic_task_arcs();
@@ -815,17 +723,11 @@ impl FlowGraphManager {
             let Some(task) = state.tasks.get(&tid) else {
                 continue;
             };
-            let Some(tn) = self.base.task_node(tid) else {
+            let Some(&(_, unsched_arc)) = self.task_nodes.get(&tid) else {
                 continue;
             };
-            let Some(&u) = self.base.unsched_nodes.get(&task.job) else {
-                continue;
-            };
-            if let Some(arc) = self.base.find_arc(tn, u) {
-                self.base
-                    .graph
-                    .set_arc_cost(arc, model.task_unscheduled_cost(state, task))?;
-            }
+            self.graph
+                .set_arc_cost(unsched_arc, model.task_unscheduled_cost(state, task))?;
             // The dynamic task-arc hook: re-price this waiting task's
             // declared preference bundles (Execution-Templates style —
             // the cached structure is kept, only the parameters are
@@ -863,23 +765,22 @@ impl FlowGraphManager {
             if gang <= 0 {
                 continue;
             }
-            let Some(&ua) = self.base.unsched_sink_arcs.get(&jid) else {
+            let Some(&ua) = self.unsched_sink_arcs.get(&jid) else {
                 continue;
             };
             let incomplete = job
                 .tasks
                 .iter()
-                .filter(|t| self.base.task_node(**t).is_some())
+                .filter(|t| self.task_nodes.contains_key(t))
                 .count() as i64;
             let forced = gang.min(incomplete);
             if committed + forced > budget || forced > self.job_reachable_machine_capacity(job) {
                 self.deferred_gangs.push(jid);
-                self.base.graph.set_arc_capacity(ua, incomplete)?;
+                self.graph.set_arc_capacity(ua, incomplete)?;
                 continue;
             }
             committed += forced;
-            self.base
-                .graph
+            self.graph
                 .set_arc_capacity(ua, (incomplete - gang).max(0))?;
         }
 
@@ -943,10 +844,9 @@ impl FlowGraphManager {
     }
 
     /// Re-synchronizes one aggregate's EC→EC arc set with what the model
-    /// currently declares: existing bundles are re-priced slot-by-slot,
-    /// newly declared children are materialized (cycle-checked) and
-    /// connected, and stale pairs are parked at capacity 0 (static
-    /// models) or removed (dynamic models).
+    /// currently declares: every declared child's bundle is reconciled
+    /// (newly live children are first materialized and cycle-checked),
+    /// and children no longer declared are withdrawn.
     fn sync_aggregate_children<C: CostModel>(
         &mut self,
         model: &C,
@@ -971,43 +871,15 @@ impl FlowGraphManager {
                 // Duplicate child declaration: first occurrence wins.
                 continue;
             }
-            let existing = self
+            let held = self
                 .agg_agg_arcs
                 .get(&agg)
                 .is_some_and(|m| m.contains_key(&child));
-            if existing {
-                let withdraw = dynamic && (bundle.is_empty() || bundle.total_capacity() <= 0);
-                if withdraw {
-                    let slots = self
-                        .agg_agg_arcs
-                        .get_mut(&agg)
-                        .expect("existing arc implies entry")
-                        .remove(&child)
-                        .expect("contains_key checked");
-                    for arc in slots {
-                        self.base.graph.remove_arc(arc)?;
-                    }
-                } else {
-                    let slots = self
-                        .agg_agg_arcs
-                        .get_mut(&agg)
-                        .expect("existing arc implies entry")
-                        .get_mut(&child)
-                        .expect("contains_key checked");
-                    sync_bundle(
-                        &mut self.base.graph,
-                        slots,
-                        an,
-                        self.agg_nodes[&child],
-                        bundle.segments(),
-                        dynamic,
-                    )?;
-                }
-            } else {
-                if bundle.is_empty() || (dynamic && bundle.total_capacity() <= 0) {
+            if !held {
+                if !is_live(&bundle, dynamic) {
                     continue;
                 }
-                let cn = self.ensure_aggregate(model, state, child)?;
+                self.ensure_aggregate(model, state, child)?;
                 // A new edge into a pre-existing aggregate could close
                 // a loop that per-materialization cycle detection
                 // cannot see — and materializing `child` may itself
@@ -1017,54 +889,48 @@ impl FlowGraphManager {
                 if self.agg_reaches(child, agg) {
                     return Err(PolicyError::AggregateCycle(agg));
                 }
-                let slots = materialize_bundle(&mut self.base.graph, an, cn, bundle.segments())?;
-                self.agg_agg_arcs
-                    .entry(agg)
-                    .or_default()
-                    .insert(child, slots);
             }
+            let cn = self.agg_nodes[&child];
+            let bundles = self.agg_agg_arcs.entry(agg).or_default();
+            reconcile_keyed(
+                &mut self.graph,
+                bundles,
+                child,
+                an,
+                cn,
+                Some(&bundle),
+                dynamic,
+            )?;
         }
-        let stale: Vec<AggregateId> = self
-            .agg_agg_arcs
-            .get(&agg)
-            .map(|m| m.keys().filter(|c| !seen.contains(c)).copied().collect())
-            .unwrap_or_default();
+        let Some(bundles) = self.agg_agg_arcs.get_mut(&agg) else {
+            return Ok(());
+        };
+        let stale: Vec<AggregateId> = bundles
+            .keys()
+            .filter(|c| !seen.contains(c))
+            .copied()
+            .collect();
         for child in stale {
-            if dynamic {
-                let slots = self
-                    .agg_agg_arcs
-                    .get_mut(&agg)
-                    .expect("stale arc implies entry")
-                    .remove(&child)
-                    .expect("stale key present");
-                for arc in slots {
-                    self.base.graph.remove_arc(arc)?;
-                }
-            } else {
-                let slots = self.agg_agg_arcs[&agg][&child].clone();
-                for arc in slots {
-                    self.base.graph.set_arc_capacity(arc, 0)?;
-                }
-            }
+            let cn = self.agg_nodes[&child];
+            reconcile_keyed(&mut self.graph, bundles, child, an, cn, None, dynamic)?;
         }
         Ok(())
     }
 
     /// Re-prices one waiting task's declared bundles in place. The cheap
     /// path applies when the declared target sequence matches the cached
-    /// slots (and every slot is still alive): per-segment costs and
-    /// capacities are patched, grown bundles append, shrunk bundles park
-    /// — all slot-stable. Structural drift (targets added, removed, or
-    /// reordered; slots killed by machine removal or aggregate GC) falls
-    /// back to a full arc re-derivation, exactly what a structural event
-    /// would do.
+    /// slots (and every slot is still alive): each bundle is reconciled
+    /// slot-stably, parking (never removing) a shrunk tail. Structural
+    /// drift (targets added, removed, or reordered; slots killed by
+    /// machine removal or aggregate GC) falls back to a full arc
+    /// re-derivation, exactly what a structural event would do.
     fn reprice_task_bundles<C: CostModel>(
         &mut self,
         model: &C,
         state: &ClusterState,
         task: &firmament_cluster::Task,
     ) -> Result<(), PolicyError> {
-        let Some(tn) = self.base.task_node(task.id) else {
+        let Some(tn) = self.task_node(task.id) else {
             return Ok(());
         };
         let declared = dedup_targets(model.task_arcs(state, task));
@@ -1081,15 +947,11 @@ impl FlowGraphManager {
                         ArcTarget::Machine(m) if !state.machines.contains_key(m) => {
                             slots.is_empty()
                         }
-                        _ => {
-                            !slots.is_empty() && slots.iter().all(|&a| self.base.graph.arc_alive(a))
-                        }
+                        _ => !slots.is_empty() && slots.iter().all(|&a| self.graph.arc_alive(a)),
                     }
             });
         if !structural_match {
-            let u = self.base.ensure_unscheduled(task.job)?;
-            self.base.retain_out_arcs(tn, move |_, dst| dst == u)?;
-            self.task_slots.remove(&task.id);
+            self.strip_task_arcs(task.id)?;
             // Rebuild from the declaration already computed (and
             // validated) above — no second model query.
             return self.install_waiting_arcs(model, state, task, declared);
@@ -1098,21 +960,12 @@ impl FlowGraphManager {
         for ((target, slots), (_, bundle)) in entry.iter_mut().zip(&declared) {
             let dst = match target {
                 ArcTarget::Aggregate(agg) => self.agg_nodes[agg],
-                ArcTarget::Machine(m) => match self.base.machine_node(*m) {
+                ArcTarget::Machine(m) => match self.machine_node(*m) {
                     Some(mn) => mn,
                     None => continue, // absent machine: parked reference
                 },
             };
-            // Parking (not removal) on shrink keeps slot identity so the
-            // segment can revive as a pure capacity change later.
-            sync_bundle(
-                &mut self.base.graph,
-                slots,
-                tn,
-                dst,
-                bundle.segments(),
-                false,
-            )?;
+            reconcile(&mut self.graph, slots, tn, dst, Some(bundle), false)?;
         }
         self.task_slots.insert(task.id, entry);
         Ok(())
@@ -1124,11 +977,11 @@ impl FlowGraphManager {
     /// by gang admission control. Not a max flow: interior bottlenecks
     /// are ignored, so this can overestimate, never underestimate.
     fn job_reachable_machine_capacity(&self, job: &firmament_cluster::Job) -> i64 {
-        let g = &self.base.graph;
+        let g = &self.graph;
         let mut work: Vec<NodeId> = job
             .tasks
             .iter()
-            .filter_map(|t| self.base.task_node(*t))
+            .filter_map(|t| self.task_node(*t))
             .collect();
         let mut visited: HashSet<NodeId> = work.iter().copied().collect();
         let mut cap = 0i64;
@@ -1143,7 +996,7 @@ impl FlowGraphManager {
                 }
                 match g.kind(dst) {
                     NodeKind::Machine { machine } => {
-                        if let Some(&ms) = self.base.machine_sink_arcs.get(&machine) {
+                        if let Some(&ms) = self.machine_sink_arcs.get(&machine) {
                             cap += g.capacity(ms);
                         }
                     }
@@ -1196,7 +1049,6 @@ impl FlowGraphManager {
                 .map(|(&a, _)| a)
                 .collect();
             let mut victim_jobs: Vec<JobId> = self
-                .base
                 .unsched_nodes
                 .iter()
                 .filter(|(j, &n)| {
@@ -1215,7 +1067,7 @@ impl FlowGraphManager {
                     .agg_nodes
                     .remove(&agg)
                     .expect("victim came from agg_nodes");
-                self.base.graph.remove_node(n)?;
+                self.graph.remove_node(n)?;
                 self.agg_agg_arcs.remove(&agg);
                 self.dirty_aggs.remove(&agg);
                 collected += 1;
@@ -1233,12 +1085,11 @@ impl FlowGraphManager {
             }
             for job in victim_jobs {
                 let n = self
-                    .base
                     .unsched_nodes
                     .remove(&job)
                     .expect("victim came from unsched_nodes");
-                self.base.unsched_sink_arcs.remove(&job);
-                self.base.graph.remove_node(n)?;
+                self.unsched_sink_arcs.remove(&job);
+                self.graph.remove_node(n)?;
                 collected += 1;
             }
         }
@@ -1250,7 +1101,7 @@ impl FlowGraphManager {
     /// arc of a rack whose machines all departed) — and no incident arc
     /// carries flow (so removal cannot unbalance a warm-started solve).
     fn node_is_collectable(&self, n: NodeId) -> bool {
-        let g = &self.base.graph;
+        let g = &self.graph;
         g.adj(n).iter().all(|&a| {
             let fwd = a.forward();
             if a.is_forward() {
@@ -1300,13 +1151,11 @@ impl FlowGraphManager {
                     }
                 }
             }
-            let Some(tn) = self.base.task_node(tid) else {
+            if !self.task_nodes.contains_key(&tid) {
                 continue;
-            };
+            }
             let task = state.tasks[&tid].clone();
-            let u = self.base.ensure_unscheduled(task.job)?;
-            self.base.retain_out_arcs(tn, move |_, dst| dst == u)?;
-            self.task_slots.remove(&tid);
+            self.strip_task_arcs(tid)?;
             self.add_waiting_arcs(model, state, &task)?;
             self.dirty_tasks.insert(tid);
             self.stats.waiting_rederived += 1;
@@ -1345,23 +1194,20 @@ impl FlowGraphManager {
         declared: Vec<(ArcTarget, ArcBundle)>,
     ) -> Result<(), PolicyError> {
         let t = self
-            .base
             .task_node(task.id)
             .ok_or(PolicyError::UnknownTask(task.id))?;
         let mut entry: Vec<(ArcTarget, Vec<ArcId>)> = Vec::with_capacity(declared.len());
         for (target, bundle) in declared {
-            let slots = match target {
-                ArcTarget::Aggregate(agg) => {
-                    let an = self.ensure_aggregate(model, state, agg)?;
-                    materialize_bundle(&mut self.base.graph, t, an, bundle.segments())?
-                }
-                ArcTarget::Machine(mid) => match self.base.machine_node(mid) {
-                    Some(mn) => materialize_bundle(&mut self.base.graph, t, mn, bundle.segments())?,
-                    // The machine is not in the cluster (yet): park the
-                    // reference so arrival re-derivation finds this task.
-                    None => Vec::new(),
-                },
+            let dst = match target {
+                ArcTarget::Aggregate(agg) => Some(self.ensure_aggregate(model, state, agg)?),
+                // A machine not in the cluster (yet) keeps an empty slot
+                // vector: the parked reference arrival re-derivation finds.
+                ArcTarget::Machine(mid) => self.machine_node(mid),
             };
+            let mut slots = Vec::new();
+            if let Some(dst) = dst {
+                reconcile(&mut self.graph, &mut slots, t, dst, Some(&bundle), false)?;
+            }
             entry.push((target, slots));
         }
         self.task_slots.insert(task.id, entry);
@@ -1402,29 +1248,29 @@ impl FlowGraphManager {
             return Ok(n);
         }
         stack.push(agg);
-        let an = self.base.graph.add_node(model.aggregate_kind(agg), 0);
+        let an = self.graph.add_node(model.aggregate_kind(agg), 0);
         self.agg_nodes.insert(agg, an);
         let dynamic = model.dynamic_aggregate_arcs();
-        let mut machines: Vec<MachineId> = self.base.machine_nodes.keys().copied().collect();
+        let mut machines: Vec<MachineId> = self.machine_nodes.keys().copied().collect();
         machines.sort_unstable();
         for mid in machines {
             let Some(machine) = state.machines.get(&mid) else {
                 continue;
             };
-            if let Some(bundle) = model.aggregate_arc(state, agg, machine) {
-                validate_bundle("aggregate_arc", &bundle)?;
-                if bundle.is_empty() || (dynamic && bundle.total_capacity() <= 0) {
-                    continue;
-                }
-                let mn = self.base.machine_nodes[&mid];
-                let slots = materialize_bundle(&mut self.base.graph, an, mn, bundle.segments())?;
-                self.machine_agg_arcs
-                    .entry(mid)
-                    .or_default()
-                    .insert(agg, slots);
-            }
+            let declared = declared_aggregate_arc(model, state, agg, machine)?;
+            let mn = self.machine_nodes[&mid];
+            let bundles = self.machine_agg_arcs.entry(mid).or_default();
+            reconcile_keyed(
+                &mut self.graph,
+                bundles,
+                agg,
+                an,
+                mn,
+                declared.as_ref(),
+                dynamic,
+            )?;
         }
-        // EC→EC children: materialize each declared child (recursively —
+        // EC→EC children: materialize each live child (recursively —
         // hierarchies can be arbitrarily deep) and connect it.
         let declared = model.aggregate_to_aggregate(state, agg);
         if !declared.is_empty() {
@@ -1432,20 +1278,22 @@ impl FlowGraphManager {
         }
         for (child, bundle) in declared {
             validate_bundle("aggregate_to_aggregate", &bundle)?;
-            if bundle.is_empty() || (dynamic && bundle.total_capacity() <= 0) {
+            if !is_live(&bundle, dynamic) {
                 continue;
             }
             let cn = self.ensure_aggregate_rec(model, state, child, stack)?;
-            let duplicate = self
-                .agg_agg_arcs
-                .get(&agg)
-                .is_some_and(|m| m.contains_key(&child));
-            if !duplicate {
-                let slots = materialize_bundle(&mut self.base.graph, an, cn, bundle.segments())?;
-                self.agg_agg_arcs
-                    .entry(agg)
-                    .or_default()
-                    .insert(child, slots);
+            let bundles = self.agg_agg_arcs.entry(agg).or_default();
+            // A duplicate child declaration keeps the first bundle.
+            if !bundles.contains_key(&child) {
+                reconcile_keyed(
+                    &mut self.graph,
+                    bundles,
+                    child,
+                    an,
+                    cn,
+                    Some(&bundle),
+                    dynamic,
+                )?;
             }
         }
         stack.pop();
@@ -1470,51 +1318,6 @@ mod tests {
     use firmament_cluster::{Job, JobClass, Machine, Task, TopologySpec};
     use firmament_flow::delta::GraphDelta;
     use firmament_policies::{ArcBundle, ArcSpec};
-
-    #[test]
-    fn base_bookkeeping_roundtrip() {
-        let mut b = GraphBase::new();
-        let m = b.add_machine(0, 4).unwrap();
-        let t = b.add_task(10, 0, 50).unwrap();
-        assert_eq!(b.graph.supply(b.sink()), -1);
-        assert_eq!(b.machine_node(0), Some(m));
-        assert_eq!(b.task_node(10), Some(t));
-        // Unscheduled agg exists with capacity 1.
-        let ua = b.unsched_sink_arcs[&0];
-        assert_eq!(b.graph.capacity(ua), 1);
-
-        b.remove_task(10, 0).unwrap();
-        assert_eq!(b.graph.supply(b.sink()), 0);
-        assert_eq!(b.graph.capacity(ua), 0);
-        assert!(b.task_node(10).is_none());
-        b.remove_machine(0).unwrap();
-        assert!(b.machine_node(0).is_none());
-    }
-
-    #[test]
-    fn duplicate_rejected() {
-        let mut b = GraphBase::new();
-        b.add_machine(0, 1).unwrap();
-        assert!(matches!(
-            b.add_machine(0, 1),
-            Err(PolicyError::DuplicateMachine(0))
-        ));
-        b.add_task(5, 0, 10).unwrap();
-        assert!(matches!(
-            b.add_task(5, 0, 10),
-            Err(PolicyError::DuplicateTask(5))
-        ));
-    }
-
-    #[test]
-    fn unscheduled_shared_per_job() {
-        let mut b = GraphBase::new();
-        b.add_task(1, 7, 10).unwrap();
-        b.add_task(2, 7, 10).unwrap();
-        assert_eq!(b.unsched_nodes.len(), 1);
-        let ua = b.unsched_sink_arcs[&7];
-        assert_eq!(b.graph.capacity(ua), 2);
-    }
 
     /// A minimal cost model for manager tests: one cluster aggregate,
     /// machine cost = running task count (single-segment bundle).
@@ -1573,6 +1376,81 @@ mod tests {
         let ev = ClusterEvent::JobSubmitted { job: j, tasks };
         state.apply(&ev);
         mgr.apply_event(&TestModel, state, &ev).unwrap();
+    }
+
+    #[test]
+    fn base_bookkeeping_roundtrip() {
+        let (mut state, mut mgr) = setup(1, 4);
+        let m = mgr.machine_node(0).expect("machine node");
+        assert_eq!(mgr.graph().capacity(mgr.machine_sink_arcs[&0]), 4);
+        let ev = ClusterEvent::JobSubmitted {
+            job: Job::new(0, JobClass::Batch, 0, 0),
+            tasks: vec![Task::new(10, 0, 0, 1_000_000)],
+        };
+        state.apply(&ev);
+        mgr.apply_event(&TestModel, &state, &ev).unwrap();
+        assert_eq!(mgr.graph().supply(mgr.sink()), -1);
+        assert_eq!(mgr.machine_node(0), Some(m));
+        let (t, unsched_arc) = mgr.task_nodes[&10];
+        assert_eq!(mgr.task_node(10), Some(t));
+        // The task → U_j arc is recorded when the task is added.
+        assert_eq!(mgr.graph().src(unsched_arc), t);
+        assert_eq!(mgr.graph().dst(unsched_arc), mgr.unsched_nodes[&0]);
+        // Unscheduled agg exists with capacity 1.
+        let ua = mgr.unsched_sink_arcs[&0];
+        assert_eq!(mgr.graph().capacity(ua), 1);
+
+        for ev in [
+            ClusterEvent::TaskPlaced {
+                task: 10,
+                machine: 0,
+                now: 1,
+            },
+            ClusterEvent::TaskCompleted { task: 10, now: 2 },
+        ] {
+            state.apply(&ev);
+            mgr.apply_event(&TestModel, &state, &ev).unwrap();
+        }
+        assert_eq!(mgr.graph().supply(mgr.sink()), 0);
+        assert_eq!(mgr.graph().capacity(ua), 0);
+        assert!(mgr.task_node(10).is_none());
+        let ev = ClusterEvent::MachineRemoved { machine: 0, now: 3 };
+        state.apply(&ev);
+        mgr.apply_event(&TestModel, &state, &ev).unwrap();
+        assert!(mgr.machine_node(0).is_none());
+    }
+
+    #[test]
+    fn duplicate_rejected() {
+        let (mut state, mut mgr) = setup(1, 1);
+        let m0 = state.machines[&0].clone();
+        assert!(matches!(
+            mgr.apply_event(
+                &TestModel,
+                &state,
+                &ClusterEvent::MachineAdded { machine: m0 }
+            ),
+            Err(PolicyError::DuplicateMachine(0))
+        ));
+        let ev = ClusterEvent::JobSubmitted {
+            job: Job::new(0, JobClass::Batch, 0, 0),
+            tasks: vec![Task::new(5, 0, 0, 10)],
+        };
+        state.apply(&ev);
+        mgr.apply_event(&TestModel, &state, &ev).unwrap();
+        assert!(matches!(
+            mgr.apply_event(&TestModel, &state, &ev),
+            Err(PolicyError::DuplicateTask(5))
+        ));
+    }
+
+    #[test]
+    fn unscheduled_shared_per_job() {
+        let (mut state, mut mgr) = setup(1, 1);
+        submit(&mut state, &mut mgr, 7, 2);
+        assert_eq!(mgr.unsched_nodes.len(), 1);
+        let ua = mgr.unsched_sink_arcs[&7];
+        assert_eq!(mgr.graph().capacity(ua), 2);
     }
 
     #[test]
@@ -1721,9 +1599,10 @@ mod tests {
         state.apply(&ev);
         mgr.apply_event(&TestModel, &state, &ev).unwrap();
         // The displaced task got its aggregate arc back.
-        let t = mgr.task_node(0).unwrap();
-        let agg = mgr.aggregate_node(AGG).unwrap();
-        assert!(mgr.base().find_arc(t, agg).is_some());
+        let slots = mgr.task_arc_slots(0).expect("waiting again");
+        assert!(slots
+            .iter()
+            .any(|(target, s)| *target == ArcTarget::Aggregate(AGG) && !s.is_empty()));
     }
 
     #[test]
@@ -1868,8 +1747,11 @@ mod tests {
     }
 
     /// Segment count tracks free slots: shrinks when tasks land, grows
-    /// when they leave — exercising park/revive in static mode.
-    struct ShrinkingLadderModel;
+    /// when they leave — exercising park/revive in static mode and
+    /// remove/re-materialize in dynamic mode.
+    struct ShrinkingLadderModel {
+        dynamic: bool,
+    }
 
     impl CostModel for ShrinkingLadderModel {
         fn name(&self) -> &'static str {
@@ -1894,28 +1776,64 @@ mod tests {
         fn aggregate_kind(&self, _: AggregateId) -> NodeKind {
             NodeKind::ClusterAggregator
         }
+        fn dynamic_aggregate_arcs(&self) -> bool {
+            self.dynamic
+        }
     }
 
-    #[test]
-    fn static_bundles_park_and_revive_on_segment_count_changes() {
+    /// One machine with two slots under a [`ShrinkingLadderModel`], and
+    /// `tasks` waiting tasks of job 0 (ids `0..tasks`).
+    fn shrinking_setup(dynamic: bool, tasks: u64) -> (ClusterState, FlowGraphManager) {
         let mut state = ClusterState::with_topology(&TopologySpec {
             machines: 1,
             machines_per_rack: 20,
             slots_per_machine: 2,
         });
+        let model = ShrinkingLadderModel { dynamic };
         let mut mgr = FlowGraphManager::new();
         let m0 = state.machines.values().next().unwrap().clone();
-        mgr.apply_event(
-            &ShrinkingLadderModel,
-            &state,
-            &ClusterEvent::MachineAdded { machine: m0 },
-        )
-        .unwrap();
+        mgr.apply_event(&model, &state, &ClusterEvent::MachineAdded { machine: m0 })
+            .unwrap();
         let j = Job::new(0, JobClass::Batch, 0, 0);
-        let tasks: Vec<Task> = (0..2).map(|i| Task::new(i, 0, 0, 1_000_000)).collect();
+        let tasks: Vec<Task> = (0..tasks).map(|i| Task::new(i, 0, 0, 1_000_000)).collect();
         let ev = ClusterEvent::JobSubmitted { job: j, tasks };
         state.apply(&ev);
-        mgr.apply_event(&ShrinkingLadderModel, &state, &ev).unwrap();
+        mgr.apply_event(&model, &state, &ev).unwrap();
+        mgr.take_deltas();
+        (state, mgr)
+    }
+
+    /// Applies `ev`, refreshes, and returns the round's delta batch.
+    fn shrinking_step(
+        state: &mut ClusterState,
+        mgr: &mut FlowGraphManager,
+        dynamic: bool,
+        ev: ClusterEvent,
+    ) -> DeltaBatch {
+        let model = ShrinkingLadderModel { dynamic };
+        state.apply(&ev);
+        mgr.apply_event(&model, state, &ev).unwrap();
+        mgr.refresh(&model, state).unwrap();
+        mgr.take_deltas()
+    }
+
+    fn structural_on(batch: &DeltaBatch, slots: &[ArcId]) -> bool {
+        batch.deltas().iter().any(|d| {
+            matches!(d, GraphDelta::ArcAdded { arc, .. } | GraphDelta::ArcRemoved { arc, .. }
+                if slots.contains(arc))
+        })
+    }
+
+    fn capacity_changed(batch: &DeltaBatch, slot: ArcId) -> bool {
+        batch
+            .deltas()
+            .iter()
+            .any(|d| matches!(d, GraphDelta::CapacityChanged { arc, .. } if *arc == slot))
+    }
+
+    #[test]
+    fn static_bundles_park_and_revive_on_segment_count_changes() {
+        let (mut state, mut mgr) = shrinking_setup(false, 2);
         let slots: Vec<ArcId> = mgr.aggregate_machine_slots(AGG, 0).unwrap().to_vec();
         assert_eq!(slots.len(), 2);
 
@@ -1926,26 +1844,87 @@ mod tests {
             machine: 0,
             now: 5,
         };
-        state.apply(&ev);
-        mgr.apply_event(&ShrinkingLadderModel, &state, &ev).unwrap();
-        mgr.refresh(&ShrinkingLadderModel, &state).unwrap();
+        let batch = shrinking_step(&mut state, &mut mgr, false, ev);
         let after: Vec<ArcId> = mgr.aggregate_machine_slots(AGG, 0).unwrap().to_vec();
         assert_eq!(after, slots, "slot identity survives the shrink");
         let g = mgr.graph();
         assert_eq!(g.capacity(slots[0]), 1);
         assert_eq!(g.cost(slots[0]), 10, "remaining slot priced at load 1");
         assert_eq!(g.capacity(slots[1]), 0, "tail parked, not removed");
+        assert!(
+            capacity_changed(&batch, slots[1]),
+            "park is a capacity change"
+        );
+        assert!(!structural_on(&batch, &slots));
 
         // The task completes: the ladder grows back, reviving the slot.
         let ev = ClusterEvent::TaskCompleted { task: 0, now: 9 };
-        state.apply(&ev);
-        mgr.apply_event(&ShrinkingLadderModel, &state, &ev).unwrap();
-        mgr.refresh(&ShrinkingLadderModel, &state).unwrap();
+        let batch = shrinking_step(&mut state, &mut mgr, false, ev);
         let g = mgr.graph();
         assert_eq!(g.capacity(slots[0]), 1);
         assert_eq!(g.cost(slots[0]), 0);
         assert_eq!(g.capacity(slots[1]), 1, "parked slot revived in place");
         assert_eq!(g.cost(slots[1]), 10);
+        assert!(
+            capacity_changed(&batch, slots[1]),
+            "revival is a capacity change"
+        );
+        assert!(!structural_on(&batch, &slots));
+    }
+
+    /// The dynamic arm of the test above: a dynamic model's shrunk tail and
+    /// withdrawn bundle are removed (`ArcRemoved`), and re-declaring the
+    /// bundle materializes fresh slots (`ArcAdded`).
+    #[test]
+    fn dynamic_bundles_remove_and_rematerialize_on_segment_count_changes() {
+        // Three tasks on two slots: one always waits, so the aggregate keeps
+        // task in-degree and survives garbage collection.
+        let (mut state, mut mgr) = shrinking_setup(true, 3);
+        let slots: Vec<ArcId> = mgr.aggregate_machine_slots(AGG, 0).unwrap().to_vec();
+        assert_eq!(slots.len(), 2);
+
+        let ev = ClusterEvent::TaskPlaced {
+            task: 0,
+            machine: 0,
+            now: 5,
+        };
+        let batch = shrinking_step(&mut state, &mut mgr, true, ev);
+        assert_eq!(
+            mgr.aggregate_machine_slots(AGG, 0),
+            Some(&slots[..1]),
+            "the shrunk tail is removed, the head keeps its slot"
+        );
+        assert!(!mgr.graph().arc_alive(slots[1]));
+        assert!(batch
+            .deltas()
+            .iter()
+            .any(|d| matches!(d, GraphDelta::ArcRemoved { arc, .. } if *arc == slots[1])));
+
+        // The machine fills up: the empty ladder withdraws the bundle.
+        let ev = ClusterEvent::TaskPlaced {
+            task: 1,
+            machine: 0,
+            now: 6,
+        };
+        let batch = shrinking_step(&mut state, &mut mgr, true, ev);
+        assert!(mgr.aggregate_machine_slots(AGG, 0).is_none());
+        assert!(mgr.aggregate_node(AGG).is_some(), "task 2 still waits");
+        assert!(batch
+            .deltas()
+            .iter()
+            .any(|d| matches!(d, GraphDelta::ArcRemoved { arc, .. } if *arc == slots[0])));
+
+        // A slot frees up: the re-declared bundle gets fresh slots.
+        let ev = ClusterEvent::TaskCompleted { task: 0, now: 9 };
+        let batch = shrinking_step(&mut state, &mut mgr, true, ev);
+        let fresh: Vec<ArcId> = mgr.aggregate_machine_slots(AGG, 0).unwrap().to_vec();
+        assert_eq!(fresh.len(), 1);
+        let g = mgr.graph();
+        assert_eq!((g.capacity(fresh[0]), g.cost(fresh[0])), (1, 10));
+        assert!(batch
+            .deltas()
+            .iter()
+            .any(|d| matches!(d, GraphDelta::ArcAdded { arc, .. } if *arc == fresh[0])));
     }
 
     /// Capacity-bucketed ladders go through the same stable-slot path as
@@ -2472,8 +2451,8 @@ mod tests {
                 .aggregate_node(hier_rack_agg(rack))
                 .expect("rack agg materialized via EC→EC declaration");
             let arc = mgr
-                .aggregate_to_aggregate_arc(ROOT, hier_rack_agg(rack))
-                .expect("EC→EC arc exists");
+                .aggregate_to_aggregate_slots(ROOT, hier_rack_agg(rack))
+                .expect("EC→EC arc exists")[0];
             assert_eq!(mgr.graph().src(arc), root);
             assert_eq!(mgr.graph().dst(arc), rn);
             // Capacity propagated: 2 machines × 2 slots per rack.
@@ -2529,11 +2508,11 @@ mod tests {
         }
         mgr.refresh(&HierModel, &state).unwrap();
         let a0 = mgr
-            .aggregate_to_aggregate_arc(ROOT, hier_rack_agg(0))
-            .unwrap();
+            .aggregate_to_aggregate_slots(ROOT, hier_rack_agg(0))
+            .unwrap()[0];
         let a1 = mgr
-            .aggregate_to_aggregate_arc(ROOT, hier_rack_agg(1))
-            .unwrap();
+            .aggregate_to_aggregate_slots(ROOT, hier_rack_agg(1))
+            .unwrap()[0];
         assert_eq!(mgr.graph().cost(a0), 2, "two tasks running in rack 0");
         assert_eq!(mgr.graph().cost(a1), 0, "rack 1 idle");
     }
@@ -2553,7 +2532,7 @@ mod tests {
             .aggregate_node(hier_rack_agg(7))
             .expect("new rack level materialized by EC→EC re-sync");
         assert!(mgr
-            .aggregate_to_aggregate_arc(ROOT, hier_rack_agg(7))
+            .aggregate_to_aggregate_slots(ROOT, hier_rack_agg(7))
             .is_some());
         // And the new rack aggregate got its machine arc.
         let out = mgr
@@ -2708,8 +2687,8 @@ mod tests {
         // The cycle-closing arc was never installed: agg 1's materialized
         // subtree links 1 → 0, but 0 → 1 must be absent, keeping the
         // network a DAG even on the error path.
-        assert!(mgr.aggregate_to_aggregate_arc(1, 0).is_some());
-        assert!(mgr.aggregate_to_aggregate_arc(0, 1).is_none());
+        assert!(mgr.aggregate_to_aggregate_slots(1, 0).is_some());
+        assert!(mgr.aggregate_to_aggregate_slots(0, 1).is_none());
         // The error is deterministic: retrying re-queries the same
         // declaration and fails the same way.
         assert!(matches!(
@@ -2788,8 +2767,13 @@ mod tests {
         state.apply(&ev);
         mgr.apply_event(&NarrowGangModel, &state, &ev).unwrap();
         let m = mgr.machine_node(0).unwrap();
+        let g = mgr.graph();
+        let slots = mgr.task_arc_slots(0).unwrap();
         assert!(
-            mgr.base().find_arc(t, m).is_some(),
+            slots
+                .iter()
+                .any(|(target, s)| *target == ArcTarget::Machine(0)
+                    && s.iter().any(|&a| g.src(a) == t && g.dst(a) == m)),
             "late-arriving preference machine must get the declared arc"
         );
     }
@@ -2826,7 +2810,7 @@ mod tests {
             "structurally unreachable gang must defer, not go infeasible"
         );
         assert_eq!(
-            mgr.graph().capacity(mgr.base().unsched_sink_arcs[&0]),
+            mgr.graph().capacity(mgr.unsched_sink_arcs[&0]),
             3,
             "deferred gang leaves U_0 → S unconstrained"
         );
@@ -2908,7 +2892,7 @@ mod tests {
         state.apply(&ev);
         mgr.apply_event(&GangModel, &state, &ev).unwrap();
         mgr.refresh(&GangModel, &state).unwrap();
-        let ua = mgr.base().unsched_sink_arcs[&0];
+        let ua = mgr.unsched_sink_arcs[&0];
         // 3 incomplete tasks − gang minimum 2 = capacity 1.
         assert_eq!(mgr.graph().capacity(ua), 1);
     }
@@ -2942,8 +2926,8 @@ mod tests {
         mgr.refresh(&GangModel, &state).unwrap();
         // Job 0 is admitted (cap 3−2=1); job 1 is deferred (cap stays 3).
         assert_eq!(mgr.deferred_gang_jobs(), &[1]);
-        assert_eq!(mgr.graph().capacity(mgr.base().unsched_sink_arcs[&0]), 1);
-        assert_eq!(mgr.graph().capacity(mgr.base().unsched_sink_arcs[&1]), 3);
+        assert_eq!(mgr.graph().capacity(mgr.unsched_sink_arcs[&0]), 1);
+        assert_eq!(mgr.graph().capacity(mgr.unsched_sink_arcs[&1]), 3);
         // Capacity appears: two more machines admit the second gang.
         for id in [10u64, 11] {
             let m = Machine::new(id, 0, 1);
@@ -2953,7 +2937,7 @@ mod tests {
         }
         mgr.refresh(&GangModel, &state).unwrap();
         assert!(mgr.deferred_gang_jobs().is_empty());
-        assert_eq!(mgr.graph().capacity(mgr.base().unsched_sink_arcs[&1]), 1);
+        assert_eq!(mgr.graph().capacity(mgr.unsched_sink_arcs[&1]), 1);
     }
 
     /// A flat model that counts its `aggregate_to_aggregate` queries, to

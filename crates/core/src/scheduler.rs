@@ -71,10 +71,6 @@ pub struct SolverStats {
     /// only the warm cost-scaling path ran, in O(Δ), and no relaxation
     /// thread (or graph clone) was spawned.
     pub race_skipped: bool,
-    /// Which MCMF algorithm won the speculative race — a convenience copy
-    /// of [`RoundOutcome::winner`] so this struct is self-contained when
-    /// logged on its own.
-    pub winner: Option<AlgorithmKind>,
 }
 
 /// The outcome of one scheduling round.
@@ -300,7 +296,6 @@ impl<C: CostModel> Firmament<C> {
                 iterations: cs.map(|s| s.iterations).unwrap_or(0),
                 bailouts: cs.map(|s| s.bailouts).unwrap_or(0),
                 race_skipped: outcome.race_skipped,
-                winner: Some(outcome.winner),
             },
             objective: outcome.solution.objective,
             placed_tasks: placed,

@@ -148,7 +148,7 @@ fn main() {
     assert!(mgr.aggregate_node(ROOT).is_some());
     for rack in 0..3u64 {
         assert!(
-            mgr.aggregate_to_aggregate_arc(ROOT, 1 + rack).is_some(),
+            mgr.aggregate_to_aggregate_slots(ROOT, 1 + rack).is_some(),
             "root → rack {rack} EC→EC arc"
         );
     }

@@ -102,8 +102,9 @@
 //! safety valve (`IncrementalConfig::warm_work_bailout`) abandons a warm
 //! attempt that exceeds a multiple of the last from-scratch solve's work
 //! and re-solves cold, bounding warm-start pathologies. Per-round
-//! telemetry (deltas fed, nodes touched, bailouts, winner) is surfaced on
-//! [`core::RoundOutcome::solver`]. The feed's fidelity is pinned by the
+//! telemetry (deltas fed, nodes touched, bailouts) is surfaced on
+//! [`core::RoundOutcome::solver`], the race winner on
+//! [`core::RoundOutcome::winner`]. The feed's fidelity is pinned by the
 //! delta-replay oracle in `tests/graph_refresh_differential.rs`:
 //! replaying each round's batch onto the previous round's snapshot must
 //! reproduce the live graph slot-exactly.
@@ -224,6 +225,21 @@
 //! `FlowGraph::set_kind`, which had no caller and bypassed recording.
 //! `set_change_tracking(false)` now pauses recording and keeps the
 //! pending batch instead of discarding it.
+//!
+//! # One bundle reconciler in the manager (0.8)
+//!
+//! [`core::FlowGraphManager`] now keeps its node bookkeeping itself, and
+//! every declared arc bundle — machine arrival, aggregate creation, the
+//! refresh's machine and EC→EC passes, waiting-task arcs — goes through
+//! one private reconciler that decides when a bundle is live and whether
+//! a withdrawn one is parked (static models) or removed (dynamic models).
+//! Graph mutations, delta batches and placements are unchanged.
+//!
+//! | pre-0.8 | 0.8 |
+//! |---------|-----|
+//! | `GraphBase` (and `manager.base()`) | the manager's own accessors: [`graph()`](core::FlowGraphManager::graph), [`sink()`](core::FlowGraphManager::sink), [`task_node(..)`](core::FlowGraphManager::task_node), [`machine_node(..)`](core::FlowGraphManager::machine_node) |
+//! | `manager.aggregate_to_aggregate_arc(p, c)` | [`aggregate_to_aggregate_slots(p, c)`](core::FlowGraphManager::aggregate_to_aggregate_slots); its first slot is the old arc |
+//! | `outcome.solver.winner` | [`outcome.winner`](core::RoundOutcome::winner) |
 //!
 //! [`policies::ArcBundle`]: policies::ArcBundle
 //! [`ArcBundle::cost`]: policies::ArcBundle::cost
